@@ -6,7 +6,7 @@
 
 Config files are line-oriented `key = value`; lists are comma-separated and
 numbers may be decimals or exact fractions like -11/2.  Exit codes: 0 ok,
-2 rule violations, 3 numerical failure, 64 config parse error, 74 I/O error.
+2 rule violations, 3 numerical failure, 64 config error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -128,10 +128,35 @@ def _round12(obj):
     return obj
 
 
-def _build_plan(cfg: PlanConfig) -> TransformationPlan:
+def _plan_and_grid(cfg: PlanConfig) -> tuple[TransformationPlan, Grid]:
+    """The plan and grid of a config; raises ValueError (or SusyqError) for a bad config."""
+    if cfg.levels_to_report < 1:
+        raise ValueError("levels_to_report must be at least 1")
     if cfg.order == 0:
-        return TransformationPlan(epsilons=(), parities=())
-    return make_plan(cfg.epsilons, cfg.parities)
+        plan = TransformationPlan(epsilons=(), parities=())
+    else:
+        plan = make_plan(cfg.epsilons, cfg.parities)
+    return plan, Grid(x_max=cfg.x_max, n=cfg.grid_n)
+
+
+def _validated(plan: TransformationPlan, grid: Grid):
+    """Rule checks of the plan, and the report.json payload that records them."""
+    report = validate(plan, grid)
+    payload = {
+        "plan": {
+            "order": plan.order,
+            "epsilons": list(plan.epsilons),
+            "parities": [int(p) for p in plan.parities],
+        },
+        "validation": {
+            "ok": report.ok,
+            "violations": [list(v) for v in report.violations],
+            "wronskian_zeros": list(report.wronskian_zeros),
+            "isospectral_branch": report.predicted_isospectral_branch,
+        },
+        "predicted_added": [[j, e] for j, e in report.predicted_added],
+    }
+    return report, payload
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -168,28 +193,12 @@ def run(cfg: PlanConfig) -> int:
         return EXIT_IO
 
     try:
-        plan = _build_plan(cfg)
+        plan, grid = _plan_and_grid(cfg)
     except (ValueError, SusyqError) as exc:
-        print(f"invalid plan: {exc}", file=sys.stderr)
+        print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
-    report = validate(plan, grid)
-    payload = {
-        "plan": {
-            "order": plan.order,
-            "epsilons": list(plan.epsilons),
-            "parities": [int(p) for p in plan.parities],
-        },
-        "validation": {
-            "ok": report.ok,
-            "violations": [list(v) for v in report.violations],
-            "wronskian_zeros": list(report.wronskian_zeros),
-            "isospectral_branch": report.predicted_isospectral_branch,
-        },
-        "predicted_added": [[j, e] for j, e in report.predicted_added],
-    }
-
+    report, payload = _validated(plan, grid)
     try:
         if not report.ok:
             _write_json(out / "report.json", payload)
@@ -225,7 +234,9 @@ def run(cfg: PlanConfig) -> int:
 
             vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v
             tri = discretize(vfun, grid)
-            oracle_levels = eigenvalues_low(tri, min(cfg.levels_to_report, 20))
+            # one level past the predicted spectrum, so that a missing or extra level shows
+            count = min(max(cfg.levels_to_report, len(predicted_levels) + 1), 20)
+            oracle_levels = eigenvalues_low(tri, count)
             sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)
             for label, level, fn in zip(labels[1:], predicted_levels, funcs):
                 residuals[label] = residual(vfun, fn, level, sample)
@@ -286,26 +297,11 @@ def _spectrum_checks(predicted, oracle_levels):
 
 def cmd_validate(cfg: PlanConfig) -> int:
     try:
-        plan = _build_plan(cfg)
+        plan, grid = _plan_and_grid(cfg)
     except (ValueError, SusyqError) as exc:
-        print(f"invalid plan: {exc}", file=sys.stderr)
+        print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
-    report = validate(plan, grid)
-    payload = {
-        "plan": {
-            "order": plan.order,
-            "epsilons": list(plan.epsilons),
-            "parities": [int(p) for p in plan.parities],
-        },
-        "validation": {
-            "ok": report.ok,
-            "violations": [list(v) for v in report.violations],
-            "wronskian_zeros": list(report.wronskian_zeros),
-            "isospectral_branch": report.predicted_isospectral_branch,
-        },
-        "predicted_added": [[j, e] for j, e in report.predicted_added],
-    }
+    report, payload = _validated(plan, grid)
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         _write_json(cfg.output_dir / "report.json", payload)
@@ -317,11 +313,10 @@ def cmd_validate(cfg: PlanConfig) -> int:
 
 def cmd_spectrum(cfg: PlanConfig) -> int:
     try:
-        plan = _build_plan(cfg)
+        plan, grid = _plan_and_grid(cfg)
     except (ValueError, SusyqError) as exc:
-        print(f"invalid plan: {exc}", file=sys.stderr)
+        print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
     try:
         p = plan.partner()
         vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v

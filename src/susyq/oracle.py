@@ -2,10 +2,10 @@
 
 -1/2 f'' + V f = E f is discretized on a uniform grid over (x_min, x_max)
 with Dirichlet values at both ends (x_min slightly above 0 keeps 1/x^2
-terms of partner potentials finite).  Low eigenvalues come from bisection
-on Sturm-sequence negative-pivot counts, which is robust against the huge
-diagonal entries near the origin; eigenvectors are never computed here,
-claimed eigenfunctions are checked through their pointwise residual.
+terms of partner potentials finite).  Low eigenvalues come from LAPACK
+`stebz`, certified by Sturm-sequence negative-pivot counts, which are robust
+against the huge diagonal entries near the origin; eigenvectors are never
+computed here, claimed eigenfunctions are checked through their residual.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .errors import DomainError, PotentialSingularityError
+from .errors import ConvergenceError, DomainError, PotentialSingularityError
 
 POTENTIAL_CAP = 1e12
 RESIDUAL_POTENTIAL_CAP = 1e6
@@ -69,51 +70,49 @@ def discretize(V, g: Grid) -> Tridiag:
     return Tridiag(diag=1.0 / h2 + vals, off=np.full(g.n - 1, -0.5 / h2))
 
 
-def sturm_count(t: Tridiag, shift: float) -> int:
-    """Number of eigenvalues of t strictly below shift (negative pivots of t - shift*I)."""
+def sturm_count(t: Tridiag, shift):
+    """Number of eigenvalues of t strictly below shift (negative pivots of t - shift*I).
+
+    For an array of shifts, one pass over t counts for all of them.
+    """
+    shift = np.asarray(shift, dtype=float)
     diag = t.diag
-    off = t.off
+    off2 = t.off * t.off
     tiny = np.finfo(float).tiny
-    count = 0
-    d = 1.0
+    count = np.zeros(shift.shape, dtype=int)
+    d = np.ones(shift.shape)
     for i in range(diag.size):
         q = diag[i] - shift
         if i:
-            q -= off[i - 1] * off[i - 1] / d
-        if q == 0.0:
-            q = tiny
-        if q < 0.0:
-            count += 1
+            q -= off2[i - 1] / d
+        q = np.where(q == 0.0, tiny, q)
+        count += q < 0.0
         d = q
-    return count
-
-
-def _gershgorin_bounds(t: Tridiag) -> tuple[float, float]:
-    r = np.zeros_like(t.diag)
-    if t.off.size:
-        r[:-1] += np.abs(t.off)
-        r[1:] += np.abs(t.off)
-    return float((t.diag - r).min()), float((t.diag + r).max())
+    return int(count) if count.ndim == 0 else count
 
 
 def eigenvalues_low(t: Tridiag, count: int) -> list[float]:
-    """The `count` smallest eigenvalues, each bracketed to width 1e-9 by bisection."""
+    """The `count` smallest eigenvalues, each certified to within BRACKET_WIDTH / 2.
+
+    Raises ConvergenceError when LAPACK fails or a value misses its certificate.
+    """
     if count < 1 or count > 20:
         raise ValueError("count must lie in 1..20")
     if count > t.diag.size:
         raise ValueError("cannot request more eigenvalues than matrix dimension")
-    lo0, hi0 = _gershgorin_bounds(t)
-    out = []
-    for idx in range(1, count + 1):
-        lo, hi = lo0, hi0
-        while hi - lo > BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if sturm_count(t, mid) >= idx:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return out
+    try:
+        levels = eigh_tridiagonal(t.diag, t.off, eigvals_only=True, select="i",
+                                  select_range=(0, count - 1), tol=BRACKET_WIDTH / 4)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK stebz failed: {exc}") from exc
+    # certificate of lam_i (0-based): <= i levels below lam_i - w/2, >= i + 1 below lam_i + w/2
+    half = 0.5 * BRACKET_WIDTH
+    lo, hi = np.split(sturm_count(t, np.concatenate([levels - half, levels + half])), 2)
+    bad = np.flatnonzero((lo > np.arange(count)) | (hi <= np.arange(count)))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(f"eigenvalue {i} = {levels[i]:.12g} fails its Sturm certificate")
+    return [float(v) for v in levels]
 
 
 def residual(V, f, E: float, sample) -> float:

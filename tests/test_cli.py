@@ -140,6 +140,40 @@ def test_run_exits_64_on_bad_plan(tmp_path):
     assert run(cfg) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("run", "grid_n = 50"),
+        ("validate", "grid_n = 50"),
+        ("spectrum", "grid_n = 50"),
+        ("run", "x_max = -1"),
+        ("validate", "x_max = -1"),
+        ("spectrum", "x_max = -1"),
+        ("run", "levels_to_report = 0"),
+        ("spectrum", "levels_to_report = 0"),
+    ],
+)
+def test_commands_exit_64_on_bad_grid_or_level_count(tmp_path, command, line):
+    config = tmp_path / "plan.cfg"
+    config.write_text(f"order = 2\nepsilons = 0.7, 1.2\n{line}\noutput_dir = {tmp_path}\n")
+    assert main([command, str(config)]) == EXIT_CONFIG
+
+
+def test_run_asks_oracle_past_the_predicted_spectrum(tmp_path):
+    # order 6 predicts 4 isospectral + 3 added levels, more than the 6 reported
+    cfg = PlanConfig(
+        order=6,
+        epsilons=[0.6, 0.75, 0.9, 1.0, 1.2, 1.4],
+        grid_n=1500,
+        levels_to_report=6,
+        output_dir=tmp_path,
+    )
+    assert run(cfg) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["predicted_spectrum"]) == 7
+    assert len(report["oracle"]["eigenvalues"]) == 8
+
+
 def test_run_exits_74_when_output_dir_is_a_file(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,15 +62,20 @@ def test_against_mpmath_reference():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    # |a| >= 1e-3 (or exactly 0): for tiny a the test's own b - a wipes out
+    # |a| >= 1e-3 (or exactly 0): for tiny a even a longdouble b - a drops
     # a's low bits, which perturbs M - 1 ~ a * S at first order
     a=st.one_of(st.just(0.0), st.floats(1e-3, 6), st.floats(-6, -1e-3)),
     b=st.sampled_from([0.5, 1.5, 2.5, 0.7, 3.2]),
     z=st.floats(0, 100),
 )
 def test_kummer_transformation_consistency(a, b, z):
+    # the reflected parameter must be exact: near a negative-integer a, M(b - a, b, -z)
+    # cancels almost completely and amplifies a rounded b - a about 1e6 times.  In
+    # longdouble (64-bit significand) b - a is exact for the a and b drawn here.
+    c = np.longdouble(b) - np.longdouble(a)
+    assert Fraction(*c.as_integer_ratio()) == Fraction(b) - Fraction(a)
     direct = kummer_m(a, b, z)
-    reflected = math.exp(z) * kummer_m(b - a, b, -z) if z < 700 else direct
+    reflected = math.exp(z) * kummer_m(c, b, -z) if z < 700 else direct
     assert abs(direct - reflected) <= 1e-10 * abs(direct)
 
 
@@ -78,8 +84,6 @@ def test_terminating_case_matches_horner(m):
     # explicit polynomial coefficients (a)_n / ((b)_n n!); rational
     # arithmetic keeps the Horner reference exact even where the
     # alternating polynomial is badly conditioned (m = 10, z = 25)
-    from fractions import Fraction
-
     a, b = -m, Fraction(3, 2)
     coeffs = [Fraction(1)]
     for n in range(m):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from susyq.errors import DomainError, PotentialSingularityError
+from susyq import oracle
+from susyq.cli import EXIT_NUMERICAL, main
+from susyq.design import make_plan
+from susyq.errors import ConvergenceError, DomainError, PotentialSingularityError
 from susyq.oracle import (
+    BRACKET_WIDTH,
     Grid,
     Tridiag,
     discretize,
@@ -10,7 +14,43 @@ from susyq.oracle import (
     residual,
     sturm_count,
 )
-from susyq.partner import BaseState, base_state_value, truncated_oscillator_v
+from susyq.partner import BaseState, base_state_value, partner_v, truncated_oscillator_v
+
+
+def reference_sturm_count(t, shift):
+    """Scalar negative-pivot count of t - shift*I, one float at a time."""
+    tiny = np.finfo(float).tiny
+    count = 0
+    d = 1.0
+    for i in range(t.diag.size):
+        q = t.diag[i] - shift
+        if i:
+            q -= t.off[i - 1] * t.off[i - 1] / d
+        if q == 0.0:
+            q = tiny
+        if q < 0.0:
+            count += 1
+        d = q
+    return count
+
+
+def reference_eigenvalues_low(t, count):
+    """Bisection on Gershgorin bounds down to brackets of BRACKET_WIDTH."""
+    r = np.zeros_like(t.diag)
+    r[:-1] += np.abs(t.off)
+    r[1:] += np.abs(t.off)
+    lo0, hi0 = float((t.diag - r).min()), float((t.diag + r).max())
+    out = []
+    for idx in range(1, count + 1):
+        lo, hi = lo0, hi0
+        while hi - lo > BRACKET_WIDTH:
+            mid = 0.5 * (lo + hi)
+            if reference_sturm_count(t, mid) >= idx:
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
 
 
 def test_grid_geometry():
@@ -82,6 +122,43 @@ def test_sturm_count_is_monotone_and_exact_on_diagonal():
     t = Tridiag(diag=np.array([0.3, -1.2, 2.0, 0.1]), off=np.array([0.5, -0.7, 0.2]))
     seq = [sturm_count(t, s) for s in shifts]
     assert all(b >= a for a, b in zip(seq, seq[1:]))
+
+
+def test_sturm_count_of_shift_array_matches_scalar_counts():
+    rng = np.random.default_rng(7)
+    t = Tridiag(diag=rng.normal(size=60), off=rng.normal(size=59))
+    shifts = np.concatenate([np.linspace(-6, 6, 37), t.diag[:3]])
+    got = sturm_count(t, shifts)
+    assert got.shape == shifts.shape
+    assert got.tolist() == [sturm_count(t, s) for s in shifts]
+    assert got.tolist() == [reference_sturm_count(t, s) for s in shifts]
+    # a zero pivot (shift on a diagonal entry of a split matrix) counts as positive
+    t = Tridiag(diag=np.array([2.0, 1.0, 3.0]), off=np.zeros(2))
+    assert sturm_count(t, np.array([1.0, 2.0, 3.0])).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("epsilons", [(), (-5.5, -4.5, -3.5, -2.5)])
+def test_eigenvalues_match_reference_bisection(epsilons):
+    if epsilons:
+        p = make_plan(epsilons).partner()
+        V = lambda x: partner_v(p, x)
+    else:
+        V = truncated_oscillator_v
+    t = discretize(V, Grid(n=4000))
+    np.testing.assert_allclose(
+        eigenvalues_low(t, 4), reference_eigenvalues_low(t, 4), rtol=0, atol=1e-9
+    )
+
+
+def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path):
+    lapack = oracle.eigh_tridiagonal
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda *a, **kw: lapack(*a, **kw) + 1e-6)
+    t = discretize(truncated_oscillator_v, Grid(n=500))
+    with pytest.raises(ConvergenceError):
+        eigenvalues_low(t, 3)
+    config = tmp_path / "base.cfg"
+    config.write_text(f"order = 0\nepsilons =\ngrid_n = 500\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["spectrum", str(config)]) == EXIT_NUMERICAL
 
 
 def test_truncated_oscillator_spectrum():
