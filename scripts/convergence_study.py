@@ -18,7 +18,7 @@ def main():
     rows = []
     for n in (500, 1000, 2000, 4000, 8000):
         grid = Grid(x_min=1e-8, x_max=10.0, n=n)
-        tri = discretize(truncated_oscillator_v, grid)
+        tri = discretize(truncated_oscillator_v(grid.points), grid)
         levels = eigenvalues_low(tri, len(EXACT))
         rows.append((n, grid.h, [lv - ex for lv, ex in zip(levels, EXACT)]))
 

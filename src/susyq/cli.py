@@ -4,15 +4,19 @@
     susyq validate <config>   rule checks only, writes report.json
     susyq spectrum <config>   oracle eigenvalues only, writes report.json
 
-Config files are line-oriented `key = value`; lists are comma-separated and
-numbers may be decimals or exact fractions like -11/2.  Exit codes: 0 ok,
-2 rule violations, 3 numerical failure, 64 config error, 74 I/O error.
+All three commands run one pipeline, `run`, which stops where the command ends;
+every report.json has a `plan` block (order, epsilons, parities).  Config files
+are line-oriented `key = value`; lists are comma-separated and numbers may be
+decimals or exact fractions like -11/2.  Exit codes: 0 ok, 2 rule violations,
+3 numerical failure (report.json then holds `error`), 64 config error (checked
+before the output directory is made, so it wins over 74), 74 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,12 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import TransformationPlan, make_plan, predict_added, validate
+from .design import TransformationPlan, make_plan, validate
 from .errors import ConfigError, SusyqError
 from .oracle import Grid, discretize, eigenvalues_low, residual
 from .partner import (
     BaseState,
-    PartnerPotential,
     added_state,
     normalize,
     partner_v,
@@ -57,11 +60,19 @@ class PlanConfig:
 def _parse_number(text: str, line: int) -> float:
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad number {text!r}: {exc}", line=line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text!r} is not finite", line=line)
+    return value
+
+
+def _parse_int(text: str, line: int) -> int:
+    value = _parse_number(text, line)
+    if not value.is_integer():
+        raise ConfigError(f"expected an integer, got {text.strip()!r}", line=line)
+    return int(value)
 
 
 def parse_config(text) -> PlanConfig:
@@ -80,19 +91,17 @@ def parse_config(text) -> PlanConfig:
         rhs = rhs.strip()
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        if key == "order":
-            values[key] = int(_parse_number(rhs, lineno))
+        if key in ("order", "grid_n", "levels_to_report"):
+            values[key] = _parse_int(rhs, lineno)
         elif key == "epsilons":
             values[key] = [_parse_number(v, lineno) for v in rhs.split(",")] if rhs else []
         elif key == "parities":
-            pars = [int(_parse_number(v, lineno)) for v in rhs.split(",")] if rhs else []
+            pars = [_parse_int(v, lineno) for v in rhs.split(",")] if rhs else []
             if any(p not in (-1, 1) for p in pars):
                 raise ConfigError("parities must be +1 or -1", line=lineno)
             values[key] = pars
         elif key == "x_max":
             values[key] = _parse_number(rhs, lineno)
-        elif key in ("grid_n", "levels_to_report"):
-            values[key] = int(_parse_number(rhs, lineno))
         elif key == "output_dir":
             values[key] = Path(rhs)
         else:
@@ -128,37 +137,6 @@ def _round12(obj):
     return obj
 
 
-def _plan_and_grid(cfg: PlanConfig) -> tuple[TransformationPlan, Grid]:
-    """The plan and grid of a config; raises ValueError (or SusyqError) for a bad config."""
-    if cfg.levels_to_report < 1:
-        raise ValueError("levels_to_report must be at least 1")
-    if cfg.order == 0:
-        plan = TransformationPlan(epsilons=(), parities=())
-    else:
-        plan = make_plan(cfg.epsilons, cfg.parities)
-    return plan, Grid(x_max=cfg.x_max, n=cfg.grid_n)
-
-
-def _validated(plan: TransformationPlan, grid: Grid):
-    """Rule checks of the plan, and the report.json payload that records them."""
-    report = validate(plan, grid)
-    payload = {
-        "plan": {
-            "order": plan.order,
-            "epsilons": list(plan.epsilons),
-            "parities": [int(p) for p in plan.parities],
-        },
-        "validation": {
-            "ok": report.ok,
-            "violations": [list(v) for v in report.violations],
-            "wronskian_zeros": list(report.wronskian_zeros),
-            "isospectral_branch": report.predicted_isospectral_branch,
-        },
-        "predicted_added": [[j, e] for j, e in report.predicted_added],
-    }
-    return report, payload
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
 
@@ -183,83 +161,96 @@ def _branch_states(branch: str, exclude: tuple[float, ...]) -> list[BaseState]:
     return states
 
 
-def run(cfg: PlanConfig) -> int:
-    """Validation -> construction -> oracle verification; writes all artifacts."""
-    out = cfg.output_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
+def run(cfg: PlanConfig, command: str = "run") -> int:
+    """Load -> validate -> construct -> verify, stopping where `command` ends.
 
+    The one error-to-exit map of every command: bad config 64, a SusyqError
+    after loading 3 (with `error` in report.json), an OSError 74.
+    """
     try:
-        plan, grid = _plan_and_grid(cfg)
-    except (ValueError, SusyqError) as exc:
+        if cfg.levels_to_report < 1:
+            raise ValueError("levels_to_report must be at least 1")
+        plan = make_plan(cfg.epsilons, cfg.parities) if cfg.order else TransformationPlan((), ())
+        grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
+    except ValueError as exc:  # the SusyqErrors a bad plan raises are ValueErrors too
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    report, payload = _validated(plan, grid)
+    payload = {
+        "plan": {
+            "order": plan.order,
+            "epsilons": list(plan.epsilons),
+            "parities": [int(p) for p in plan.parities],
+        }
+    }
     try:
-        if not report.ok:
-            _write_json(out / "report.json", payload)
-            return EXIT_VIOLATIONS
-
-        p = plan.partner()
-        xs = grid.points
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         try:
-            vt = partner_v(p, xs) if plan.order else truncated_oscillator_v(xs)
-            _write_csv(
-                out / "potential.csv",
-                ["x", "V", "Vtilde"],
-                [xs, truncated_oscillator_v(xs), np.broadcast_to(vt, xs.shape)],
-            )
-
-            states = _branch_states(report.predicted_isospectral_branch, plan.epsilons)
-            columns, labels, predicted_levels, funcs, residuals = [xs], ["x"], [], [], {}
-            for s in states:
-                fn = lambda x, s=s: transformed_eigenfunction(p, s, x)
-                scale = normalize(fn, grid)
-                columns.append(scale * np.asarray(fn(xs)))
-                labels.append(f"E={_fmt(s.energy)}")
-                predicted_levels.append(s.energy)
-                funcs.append(lambda x, fn=fn, scale=scale: scale * np.asarray(fn(x)))
-            for j, eps in report.predicted_added:
-                fn = lambda x, j=j: added_state(p, j, x)
-                scale = normalize(fn, grid)
-                columns.append(scale * np.asarray(fn(xs)))
-                labels.append(f"E={_fmt(eps)}")
-                predicted_levels.append(eps)
-                funcs.append(lambda x, fn=fn, scale=scale: scale * np.asarray(fn(x)))
-            _write_csv(out / "states.csv", labels, columns)
-
-            vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v
-            tri = discretize(vfun, grid)
-            # one level past the predicted spectrum, so that a missing or extra level shows
-            count = min(max(cfg.levels_to_report, len(predicted_levels) + 1), 20)
-            oracle_levels = eigenvalues_low(tri, count)
-            sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)
-            for label, level, fn in zip(labels[1:], predicted_levels, funcs):
-                residuals[label] = residual(vfun, fn, level, sample)
+            code = _stages(cfg, command, plan, grid, payload)
         except SusyqError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             payload["error"] = str(exc)
-            _write_json(out / "report.json", payload)
-            return EXIT_NUMERICAL
-
-        predicted_sorted = sorted(predicted_levels)
-        checks = _spectrum_checks(predicted_sorted, oracle_levels)
-        payload["oracle"] = {
-            "eigenvalues": oracle_levels,
-            "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},
-        }
-        payload["predicted_spectrum"] = predicted_sorted
-        payload["residuals"] = residuals
-        payload["checks"] = checks
-        _write_json(out / "report.json", payload)
-        return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NUMERICAL
+            code = EXIT_NUMERICAL
+        _write_json(cfg.output_dir / "report.json", payload)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return code
+
+
+def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid, payload) -> int:
+    """The stages of `command` after loading; fills payload and returns the exit code.
+
+    validate: the rule checks.  spectrum: the oracle on Vt.  run: the rule
+    checks, potential.csv and states.csv, the oracle and the residuals.
+    """
+    if command != "spectrum":
+        report = validate(plan, grid)
+        payload["validation"] = {
+            "ok": report.ok,
+            "violations": [list(v) for v in report.violations],
+            "wronskian_zeros": list(report.wronskian_zeros),
+            "isospectral_branch": report.predicted_isospectral_branch,
+        }
+        payload["predicted_added"] = [[j, e] for j, e in report.predicted_added]
+        if command == "validate" or not report.ok:
+            return EXIT_OK if report.ok else EXIT_VIOLATIONS
+
+    p = plan.partner()
+    xs = grid.points
+    vt = partner_v(p, xs) if plan.order else truncated_oscillator_v(xs)
+    states = []  # (energy, normalized state function) of every state in states.csv
+    if command == "run":
+        out = cfg.output_dir
+        _write_csv(out / "potential.csv", ["x", "V", "Vtilde"],
+                   [xs, truncated_oscillator_v(xs), vt])
+        fns = [(s.energy, lambda x, s=s: transformed_eigenfunction(p, s, x))
+               for s in _branch_states(report.predicted_isospectral_branch, plan.epsilons)]
+        fns += [(eps, lambda x, j=j: added_state(p, j, x)) for j, eps in report.predicted_added]
+        columns = [xs]
+        for energy, fn in fns:
+            vals = np.asarray(fn(grid.closed_points))
+            scale = normalize(vals, grid)
+            columns.append(scale * vals[1:-1])
+            states.append((energy, lambda x, fn=fn, scale=scale: scale * np.asarray(fn(x))))
+        _write_csv(out / "states.csv", ["x"] + [f"E={_fmt(e)}" for e, _ in states], columns)
+
+    predicted = sorted(e for e, _ in states)
+    # one level past the predicted spectrum, so that a missing or extra level shows
+    count = min(max(cfg.levels_to_report, len(predicted) + 1), 20)
+    oracle_levels = eigenvalues_low(discretize(vt, grid), count)
+    if command == "run":
+        vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v
+        sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)
+        payload["residuals"] = {f"E={_fmt(e)}": residual(vfun, f, e, sample) for e, f in states}
+    payload["oracle"] = {
+        "eigenvalues": oracle_levels,
+        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},
+    }
+    if command == "spectrum":
+        return EXIT_OK
+    payload["predicted_spectrum"] = predicted
+    payload["checks"] = checks = _spectrum_checks(predicted, oracle_levels)
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NUMERICAL
 
 
 def _spectrum_checks(predicted, oracle_levels):
@@ -295,52 +286,6 @@ def _spectrum_checks(predicted, oracle_levels):
     return checks
 
 
-def cmd_validate(cfg: PlanConfig) -> int:
-    try:
-        plan, grid = _plan_and_grid(cfg)
-    except (ValueError, SusyqError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report, payload = _validated(plan, grid)
-    try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(cfg.output_dir / "report.json", payload)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
-
-
-def cmd_spectrum(cfg: PlanConfig) -> int:
-    try:
-        plan, grid = _plan_and_grid(cfg)
-    except (ValueError, SusyqError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        p = plan.partner()
-        vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v
-        tri = discretize(vfun, grid)
-        levels = eigenvalues_low(tri, min(cfg.levels_to_report, 20))
-    except SusyqError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    payload = {
-        "plan": {"order": plan.order, "epsilons": list(plan.epsilons)},
-        "oracle": {
-            "eigenvalues": levels,
-            "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},
-        },
-    }
-    try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(cfg.output_dir / "report.json", payload)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="susyq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -358,8 +303,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    handler = {"run": run, "validate": cmd_validate, "spectrum": cmd_spectrum}[args.command]
-    return handler(cfg)
+    return run(cfg, args.command)
 
 
 if __name__ == "__main__":

@@ -325,7 +325,7 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
                 )
                 continue
             try:
-                normalize(lambda x: added_state(p, j, x), grid)
+                normalize(added_state(p, j, grid.closed_points), grid)
             except (NonNormalizableError, SingularWronskianError):
                 violations.append(
                     (RULE_NONNORMALIZABLE, f"candidate j={j} is not normalizable")

@@ -31,8 +31,8 @@ class Grid:
     n: int = 4000
 
     def __post_init__(self):
-        if self.x_min <= 0 or self.x_max <= self.x_min:
-            raise ValueError("need 0 < x_min < x_max")
+        if not 0 < self.x_min < self.x_max < np.inf:
+            raise ValueError("need finite 0 < x_min < x_max")
         if self.n < 100:
             raise ValueError("grid needs at least 100 interior points")
 
@@ -43,6 +43,11 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         return self.x_min + self.h * np.arange(1, self.n + 1)
+
+    @property
+    def closed_points(self) -> np.ndarray:
+        """The interior points plus both walls: x_min, points..., x_max (n + 2 values)."""
+        return np.concatenate(([self.x_min], self.points, [self.x_max]))
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,11 @@ class Tridiag:
             raise ValueError("off-diagonal must have n-1 entries")
 
 
-def discretize(V, g: Grid) -> Tridiag:
-    """Three-point stencil: diag_i = 1/h^2 + V(x_i), off = -1/(2 h^2)."""
-    x = g.points
-    vals = np.asarray(V(x), dtype=float)
+def discretize(vals, g: Grid) -> Tridiag:
+    """Three-point stencil: diag_i = 1/h^2 + V(x_i), off = -1/(2 h^2); vals holds V on g.points."""
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(np.abs(vals) > POTENTIAL_CAP):
-        worst = x[np.argmax(np.where(np.isfinite(vals), np.abs(vals), np.inf))]
+        worst = g.points[np.argmax(np.where(np.isfinite(vals), np.abs(vals), np.inf))]
         raise PotentialSingularityError(f"potential exceeds {POTENTIAL_CAP:g} near x = {worst}")
     h2 = g.h * g.h
     return Tridiag(diag=1.0 / h2 + vals, off=np.full(g.n - 1, -0.5 / h2))

@@ -183,14 +183,13 @@ def _raise_on_zero(sign, x):
 TAIL_FRACTION = 1e-6
 
 
-def normalize(f, grid) -> float:
+def normalize(vals, grid) -> float:
     """Norm constant N with integral of (N f)^2 over (0, x_max] equal to 1.
 
-    f must be vectorized over x; composite Simpson quadrature on the grid.
-    Raises NonNormalizableError when |f(x_max)| exceeds 1e-8 of max|f|.
+    vals holds f on grid.closed_points; composite Simpson quadrature there.
+    Raises NonNormalizableError when |f(x_max)| exceeds TAIL_FRACTION of max|f|.
     """
-    xs = np.linspace(grid.x_min, grid.x_max, grid.n + 2)
-    vals = np.asarray(f(xs), dtype=float)
+    vals = np.asarray(vals, dtype=float)
     peak = np.abs(vals).max()
     if peak == 0:
         raise NonNormalizableError("function vanishes identically on the grid")
@@ -198,7 +197,7 @@ def normalize(f, grid) -> float:
         raise NonNormalizableError(
             f"tail |f(x_max)| = {abs(vals[-1]):.3e} exceeds {TAIL_FRACTION} * max|f|"
         )
-    norm_sq = simpson(vals * vals, x=xs)
+    norm_sq = simpson(vals * vals, x=grid.closed_points)
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise NonNormalizableError("quadrature of f^2 is not positive and finite")
     return 1.0 / math.sqrt(norm_sq)

@@ -92,7 +92,8 @@ def test_criterion_2_closed_form_added_states():
 
 def test_criterion_3_class_a_oracle_spectrum():
     p = DEEP_PLAN.partner()
-    tri = discretize(lambda x: partner_v(p, x), Grid())
+    grid = Grid()
+    tri = discretize(partner_v(p, grid.points), grid)
     got = eigenvalues_low(tri, 6)
     target = [-4.5, -2.5, 1.5, 3.5, 5.5, 7.5]
     err = max(abs(g - t) for g, t in zip(got, target))
@@ -102,7 +103,8 @@ def test_criterion_3_class_a_oracle_spectrum():
 
 def test_criterion_4_class_b_oracle_spectrum():
     p = CLASS_B_PLAN.partner()
-    tri = discretize(lambda x: partner_v(p, x), Grid())
+    grid = Grid()
+    tri = discretize(partner_v(p, grid.points), grid)
     got = eigenvalues_low(tri, 6)
     has_added = all(
         any(abs(v - e) <= 5e-3 for v in got) for e in (0.6, 1.0)
@@ -125,7 +127,8 @@ def test_criterion_5_first_order_isospectrality():
         (EVEN, 0.3, [0.5, 2.5, 4.5]),
     ):
         p = PartnerPotential(seeds=(make_seed(eps, parity),))
-        tri = discretize(lambda x: partner_v(p, x), Grid())
+        grid = Grid()
+        tri = discretize(partner_v(p, grid.points), grid)
         got = eigenvalues_low(tri, 3)
         results.append(max(abs(g - t) for g, t in zip(got, target)))
     report(5, "first-order partners are strictly isospectral to a base branch",
@@ -248,7 +251,8 @@ def test_criterion_9_numerical_hygiene():
     # here so the displaced-wall shift |psi'(0)|^2 x_min / 2 stays negligible
     errs = []
     for n in (1000, 2000):
-        tri = discretize(lambda x: x * x / 2, Grid(x_min=1e-8, x_max=10.0, n=n))
+        grid = Grid(x_min=1e-8, x_max=10.0, n=n)
+        tri = discretize(grid.points * grid.points / 2, grid)
         errs.append(abs(eigenvalues_low(tri, 1)[0] - 1.5))
     ratio = errs[0] / errs[1]
     report(9, "kummer invariants hold and oracle converges at second order",

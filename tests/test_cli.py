@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from susyq import cli
 from susyq.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VIOLATIONS,
     PlanConfig,
@@ -14,7 +16,10 @@ from susyq.cli import (
     parse_config,
     run,
 )
+from susyq.design import make_plan
 from susyq.errors import ConfigError
+from susyq.oracle import Grid
+from susyq.partner import BaseState, added_state, normalize, transformed_eigenfunction
 
 
 def test_parse_minimal_config():
@@ -140,6 +145,22 @@ def test_run_exits_64_on_bad_plan(tmp_path):
     assert run(cfg) == EXIT_CONFIG
 
 
+COMMANDS = ("run", "validate", "spectrum")
+# non-integral or non-finite numbers, each rejected with the line it is on;
+# with parities given, a non-finite energy reaches no interval classification
+BAD_NUMBERS = (
+    "order = 2.5",
+    "grid_n = 4000.9",
+    "parities = 1.7, -1",
+    "grid_n = nan",
+    "order = 1e400",
+    "levels_to_report = inf",
+    "x_max = nan",
+    "x_max = inf",
+    "epsilons = nan, 1.2\nparities = 1, -1",
+)
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -151,12 +172,57 @@ def test_run_exits_64_on_bad_plan(tmp_path):
         ("spectrum", "x_max = -1"),
         ("run", "levels_to_report = 0"),
         ("spectrum", "levels_to_report = 0"),
-    ],
+    ]
+    + [(command, line) for line in BAD_NUMBERS for command in COMMANDS],
 )
 def test_commands_exit_64_on_bad_grid_or_level_count(tmp_path, command, line):
+    keys = {"order": "2", "epsilons": "0.7, 1.2", "output_dir": str(tmp_path)}
+    for item in line.split("\n"):
+        key, _, value = item.partition(" = ")
+        keys[key] = value
     config = tmp_path / "plan.cfg"
-    config.write_text(f"order = 2\nepsilons = 0.7, 1.2\n{line}\noutput_dir = {tmp_path}\n")
+    config.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     assert main([command, str(config)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_numerical_failure_inside_any_stage_exits_3_with_report(tmp_path, command):
+    # at x_max = 100 the 1F1 series of the seed cannot converge: validate's scan
+    # (run, validate) or the partner potential (spectrum) raises ConvergenceError
+    config = tmp_path / "plan.cfg"
+    config.write_text(f"order = 1\nepsilons = 0.2\nx_max = 100\noutput_dir = {tmp_path}\n")
+    assert main([command, str(config)]) == EXIT_NUMERICAL
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report) == ["error", "plan"]
+    assert "did not converge" in report["error"]
+    assert report["plan"] == {"order": 1, "epsilons": [0.2], "parities": [1]}
+
+
+def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
+    # the columns handed to the CSV writer, at full precision
+    written, write_csv = {}, cli._write_csv
+
+    def capture(path, header, columns):
+        written[path.name] = columns
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    cfg = small_cfg(tmp_path)
+    assert run(cfg) == EXIT_OK
+    grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
+    rows = [line.split(",") for line in (tmp_path / "states.csv").read_text().splitlines()]
+    assert [row[0] for row in rows[1:]] == [cli._fmt(x) for x in grid.points]
+    x, *columns = written["states.csv"]
+    np.testing.assert_array_equal(x, grid.points)
+
+    # four odd-branch levels, then the added one; a slice off by one point fails
+    assert rows[0][1:] == [f"E={cli._fmt(e)}" for e in (1.5, 3.5, 5.5, 7.5, 0.7)]
+    p = make_plan(cfg.epsilons).partner()
+    states = [lambda x, n=n: transformed_eigenfunction(p, BaseState("odd", n), x) for n in range(4)]
+    states.append(lambda x: added_state(p, 1, x))
+    for f, column in zip(states, columns, strict=True):
+        scale = normalize(f(grid.closed_points), grid)
+        np.testing.assert_allclose(column, scale * f(grid.points), rtol=1e-12, atol=0)
 
 
 def test_run_asks_oracle_past_the_predicted_spectrum(tmp_path):

@@ -62,6 +62,17 @@ def test_grid_geometry():
     assert pts[-1] == pytest.approx(2.0 - g.h)
 
 
+@pytest.mark.parametrize("n", [600, 1500, 4000, 8000])
+@pytest.mark.parametrize("x_max", [7.3, 8.0, 10.0])
+def test_grid_closed_points_add_both_walls(n, x_max):
+    g = Grid(x_max=x_max, n=n)
+    closed = g.closed_points
+    assert closed[0] == g.x_min and closed[-1] == g.x_max
+    np.testing.assert_array_equal(closed[1:-1], g.points)
+    # the quadrature points partner.normalize used before it took values
+    np.testing.assert_array_equal(closed, np.linspace(g.x_min, g.x_max, n + 2))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(x_min=0.0, x_max=1.0, n=500)
@@ -69,6 +80,9 @@ def test_grid_validation():
         Grid(x_min=2.0, x_max=1.0, n=500)
     with pytest.raises(ValueError):
         Grid(n=99)
+    for x_max in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Grid(x_max=x_max)
 
 
 def test_tridiag_validates_band_length():
@@ -78,18 +92,18 @@ def test_tridiag_validates_band_length():
 
 def test_discretize_stencil_entries():
     g = Grid(x_min=0.5, x_max=1.5, n=100)
-    t = discretize(lambda x: np.zeros_like(x), g)
+    t = discretize(np.zeros_like(g.points), g)
     h2 = g.h * g.h
     np.testing.assert_allclose(t.diag, np.full(100, 1.0 / h2))
     np.testing.assert_allclose(t.off, np.full(99, -0.5 / h2))
-    t = discretize(lambda x: x, g)
+    t = discretize(g.points, g)
     np.testing.assert_allclose(t.diag, 1.0 / h2 + g.points)
 
 
 def test_discretize_rejects_singular_potential():
     g = Grid(x_min=1e-12, x_max=1e-5, n=200)
     with pytest.raises(PotentialSingularityError):
-        discretize(lambda x: 1.0 / x**2, g)
+        discretize(1.0 / g.points**2, g)
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -144,7 +158,8 @@ def test_eigenvalues_match_reference_bisection(epsilons):
         V = lambda x: partner_v(p, x)
     else:
         V = truncated_oscillator_v
-    t = discretize(V, Grid(n=4000))
+    g = Grid(n=4000)
+    t = discretize(V(g.points), g)
     np.testing.assert_allclose(
         eigenvalues_low(t, 4), reference_eigenvalues_low(t, 4), rtol=0, atol=1e-9
     )
@@ -153,7 +168,8 @@ def test_eigenvalues_match_reference_bisection(epsilons):
 def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path):
     lapack = oracle.eigh_tridiagonal
     monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda *a, **kw: lapack(*a, **kw) + 1e-6)
-    t = discretize(truncated_oscillator_v, Grid(n=500))
+    g = Grid(n=500)
+    t = discretize(truncated_oscillator_v(g.points), g)
     with pytest.raises(ConvergenceError):
         eigenvalues_low(t, 3)
     config = tmp_path / "base.cfg"
@@ -162,7 +178,8 @@ def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path
 
 
 def test_truncated_oscillator_spectrum():
-    t = discretize(truncated_oscillator_v, Grid())
+    g = Grid()
+    t = discretize(truncated_oscillator_v(g.points), g)
     got = eigenvalues_low(t, 4)
     np.testing.assert_allclose(got, [1.5, 3.5, 5.5, 7.5], atol=5e-3)
 
@@ -173,7 +190,8 @@ def test_discretization_error_is_second_order():
     # adds its own h-independent shift of |psi'(0)|^2 x_min / 2
     errs = []
     for n in (1000, 2000):
-        t = discretize(truncated_oscillator_v, Grid(x_min=1e-8, x_max=10.0, n=n))
+        g = Grid(x_min=1e-8, x_max=10.0, n=n)
+        t = discretize(truncated_oscillator_v(g.points), g)
         errs.append(abs(eigenvalues_low(t, 1)[0] - 1.5))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0

@@ -174,19 +174,20 @@ def test_normalize_examples():
     # Gaussian example would otherwise lose ~1e-4 of its mass before the grid
     grid = Grid(x_min=1e-9, x_max=10.0, n=3000)
     s = BaseState("odd", 0)
-    assert normalize(lambda x: base_state_value(s, x), grid) == pytest.approx(1.0, rel=1e-8)
-    assert normalize(lambda x: 2 * base_state_value(s, x), grid) == pytest.approx(0.5, rel=1e-8)
+    xs = grid.closed_points
+    assert normalize(base_state_value(s, xs), grid) == pytest.approx(1.0, rel=1e-8)
+    assert normalize(2 * base_state_value(s, xs), grid) == pytest.approx(0.5, rel=1e-8)
     # integral of e^{-x^2} over the half line is sqrt(pi)/2
-    got = normalize(lambda x: np.exp(-np.asarray(x) ** 2 / 2), grid)
+    got = normalize(np.exp(-xs**2 / 2), grid)
     assert got == pytest.approx((math.sqrt(math.pi) / 2) ** -0.5, rel=1e-8)
 
 
 def test_normalize_rejects_non_decaying_and_null_functions():
     grid = Grid(x_min=1e-4, x_max=10.0, n=1000)
     with pytest.raises(NonNormalizableError):
-        normalize(lambda x: np.ones_like(np.asarray(x, dtype=float)), grid)
+        normalize(np.ones_like(grid.closed_points), grid)
     with pytest.raises(NonNormalizableError):
-        normalize(lambda x: np.zeros_like(np.asarray(x, dtype=float)), grid)
+        normalize(np.zeros_like(grid.closed_points), grid)
 
 
 def test_transformed_states_are_mutually_orthogonal():
