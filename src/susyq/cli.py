@@ -27,14 +27,7 @@ import numpy as np
 from .design import TransformationPlan, make_plan, validate
 from .errors import ConfigError, SusyqError
 from .oracle import Grid, discretize, eigenvalues_low, residual
-from .partner import (
-    BaseState,
-    added_state,
-    normalize,
-    partner_v,
-    transformed_eigenfunction,
-    truncated_oscillator_v,
-)
+from .partner import BaseState, SeedTable, normalize, partner_v, truncated_oscillator_v
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -223,15 +216,16 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
         out = cfg.output_dir
         _write_csv(out / "potential.csv", ["x", "V", "Vtilde"],
                    [xs, truncated_oscillator_v(xs), vt])
-        fns = [(s.energy, lambda x, s=s: transformed_eigenfunction(p, s, x))
-               for s in _branch_states(report.predicted_isospectral_branch, plan.epsilons)]
-        fns += [(eps, lambda x, j=j: added_state(p, j, x)) for j, eps in report.predicted_added]
+        reads = [(s.energy, lambda t, s=s: t.state(s))
+                 for s in _branch_states(report.predicted_isospectral_branch, plan.epsilons)]
+        reads += [(eps, lambda t, j=j: t.added(j)) for j, eps in report.predicted_added]
+        on_grid = SeedTable(p, grid.closed_points)
         columns = [xs]
-        for energy, fn in fns:
-            vals = np.asarray(fn(grid.closed_points))
+        for energy, read in reads:
+            vals = read(on_grid)
             scale = normalize(vals, grid)
             columns.append(scale * vals[1:-1])
-            states.append((energy, lambda x, fn=fn, scale=scale: scale * np.asarray(fn(x))))
+            states.append((energy, lambda x, read=read, scale=scale: scale * read(SeedTable(p, x))))
         _write_csv(out / "states.csv", ["x"] + [f"E={_fmt(e)}" for e, _ in states], columns)
 
     predicted = sorted(e for e, _ in states)

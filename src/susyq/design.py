@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BoundaryEnergyError, NonNormalizableError, SingularWronskianError
 from .oracle import Grid
-from .partner import BaseState, PartnerPotential, added_state, normalize, transformed_eigenfunction
+from .partner import (BaseState, PartnerPotential, SeedTable, added_state, normalize,
+                      transformed_eigenfunction)
 from .seeds import Parity, SeedSolution, make_seed
 from .wronskian import scaled_stack, sign_log_det_orders
 
@@ -236,12 +237,12 @@ PROBE_POINTS = (1e-2, 1e-3, 1e-4)
 DECADE_DECAY_FACTOR = 5.0
 
 
-def boundary_check(f, parity_hint=None) -> str:
+def boundary_check(f) -> str:
     """'physical' when |f| decays toward the origin like x^p (p >= 1), else 'nonphysical'.
 
     Probing is behavioral on purpose: user-chosen parities can produce even
     candidates that nevertheless vanish at 0 for isolated energies, and a
-    decay test handles those uniformly.  parity_hint is informational only.
+    decay test handles those uniformly.
     """
     vals = [abs(float(np.asarray(f(x)))) for x in PROBE_POINTS]
     ok = all(
@@ -314,6 +315,7 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
     if k >= 1 and not zeros:
         p = plan.partner()
         branch = _select_branch(p)
+        on_grid = None  # the seeds on grid.closed_points, once a candidate needs them
         for j, eps in predicted:
             try:
                 verdict = boundary_check(lambda x: added_state(p, j, x))
@@ -324,19 +326,18 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
                     (RULE_NONPHYSICAL, f"candidate j={j} fails the origin condition")
                 )
                 continue
+            on_grid = on_grid or SeedTable(p, grid.closed_points)
             try:
-                normalize(added_state(p, j, grid.closed_points), grid)
+                normalize(on_grid.added(j), grid)
             except (NonNormalizableError, SingularWronskianError):
                 violations.append(
                     (RULE_NONNORMALIZABLE, f"candidate j={j} is not normalizable")
                 )
                 continue
             confirmed.append((j, eps))
-    elif k == 0:
-        confirmed = []
 
     return ValidationReport(
-        ok=not violations and not zeros,
+        ok=not violations,
         violations=violations,
         predicted_added=confirmed,
         predicted_isospectral_branch=branch,

@@ -11,7 +11,8 @@ eigenfunctions use the Crum representation
 
 and added-state candidates are ratios of a one-seed-deleted Wronskian to
 the full one.  Everything is evaluated through the exponent-tracked
-determinants of the wronskian module.
+determinants of the wronskian module.  All states and candidates on one
+point array share one evaluation of the seeds (SeedTable).
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from scipy.integrate import simpson
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
-from .wronskian import (
-    WORK_DTYPE,
-    SINGULAR_FLOOR,
-    log_w_second_deriv,
-    scaled_stack,
-    sign_log_det_orders,
-)
+from .wronskian import WORK_DTYPE, log_w_second_deriv, scaled_stack, sign_log_det_orders
 
 
 def truncated_oscillator_v(x):
@@ -134,48 +129,61 @@ def transformed_eigenfunction(p: PartnerPotential, s: BaseState, x):
     (W(u_1..u_k) * prod_j sqrt(|E - eps_j|)), which keeps the state unit-
     normalized on (0, inf); the overall sign is not meaningful.
     """
-    k = p.order
-    if k == 0:
-        return base_state_value(s, x)
-    if any(s.energy == e for e in p.epsilons):
-        raise DegenerateEnergyError(
-            f"state energy {s.energy} coincides with a factorization energy"
-        )
-    x = np.asarray(x, dtype=float)
-    stack = scaled_stack(list(p.seeds) + [s], x, k)
-    s_num, l_num = sign_log_det_orders(stack, list(range(k + 1)))
-    s_den, l_den = sign_log_det_orders(stack[:, :k], list(range(k)))
-    _raise_on_zero(s_den, x)
-    # each intertwining order carries a 1/sqrt(2) in the operator convention
-    scale = math.fsum(math.log(abs(s.energy - e)) for e in p.epsilons) / 2 + k * math.log(2) / 2
-    xl = np.asarray(x, dtype=WORK_DTYPE)
-    # Gaussian exponents: numerator e^{-(k+1)x^2/2}, denominator e^{-k x^2/2}
-    val = s_num * s_den * np.exp(l_num - l_den - xl * xl / 2 - WORK_DTYPE(scale))
-    val = np.asarray(val, dtype=float)
-    return float(val) if val.ndim == 0 else val
+    return SeedTable(p, x).state(s)
 
 
 def added_state(p: PartnerPotential, j: int, x):
     """Unnormalized candidate phi_{eps_j} = W(minor_j) / W at the factorization energy eps_j."""
-    k = p.order
-    if not 1 <= j <= k:
-        raise IndexError(f"seed index {j} outside 1..{k}")
-    x = np.asarray(x, dtype=float)
-    stack = scaled_stack(list(p.seeds), x, k)
-    s_den, l_den = sign_log_det_orders(stack, list(range(k)))
-    _raise_on_zero(s_den, x)
-    idx = [i for i in range(k) if i != j - 1]
-    s_num, l_num = sign_log_det_orders(stack[:, idx], list(range(k - 1)))
-    xl = np.asarray(x, dtype=WORK_DTYPE)
-    # minor carries e^{-(k-1)x^2/2}, denominator e^{-k x^2/2}: net e^{+x^2/2}
-    val = s_num * s_den * np.exp(l_num - l_den + xl * xl / 2)
-    val = np.asarray(val, dtype=float)
-    return float(val) if val.ndim == 0 else val
+    return SeedTable(p, x).added(j)
 
 
-def _raise_on_zero(sign, x):
-    if np.any(sign == 0):
-        raise SingularWronskianError(f"Wronskian vanishes on the requested points near x = {x}")
+class SeedTable:
+    """The k seeds of partner p, evaluated once on the points x.
+
+    Transformed states and added candidates on x are all read from it; reads leave it unchanged.
+    """
+
+    def __init__(self, p: PartnerPotential, x):
+        self.p, self.x = p, np.asarray(x, dtype=float)
+        self.half_x2 = np.asarray(self.x, dtype=WORK_DTYPE) ** 2 / 2  # each seed carries e^-half_x2
+        if p.order:
+            self.table = scaled_stack(p.seeds, self.x, p.order)
+            self.sw, self.lw = sign_log_det_orders(self.table, list(range(p.order)))
+
+    def state(self, s: BaseState):
+        """transformed_eigenfunction(p, s, x)."""
+        k, eps = self.p.order, self.p.epsilons
+        if k == 0:
+            return base_state_value(s, self.x)
+        if s.energy in eps:
+            raise DegenerateEnergyError(
+                f"state energy {s.energy} coincides with a factorization energy"
+            )
+        stack = np.concatenate([self.table, scaled_stack([s], self.x, k)], axis=1)
+        s_num, l_num = sign_log_det_orders(stack, list(range(k + 1)))
+        # each intertwining order carries a 1/sqrt(2) in the operator convention
+        scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
+        # Gaussian exponents: numerator e^{-(k+1)x^2/2}, denominator e^{-k x^2/2}
+        return self._over_w(s_num, l_num - self.lw - self.half_x2 - WORK_DTYPE(scale))
+
+    def added(self, j: int):
+        """added_state(p, j, x)."""
+        k = self.p.order
+        if not 1 <= j <= k:
+            raise IndexError(f"seed index {j} outside 1..{k}")
+        idx = [i for i in range(k) if i != j - 1]
+        s_num, l_num = sign_log_det_orders(self.table[:, idx], list(range(k - 1)))
+        # minor carries e^{-(k-1)x^2/2}, denominator e^{-k x^2/2}: net e^{+x^2/2}
+        return self._over_w(s_num, l_num - self.lw + self.half_x2)
+
+    def _over_w(self, s_num, log):
+        """s_num sign(W) e^log as float; raises where W vanishes on x."""
+        if np.any(self.sw == 0):
+            raise SingularWronskianError(
+                f"Wronskian vanishes on the requested points near x = {self.x}"
+            )
+        val = np.asarray(s_num * self.sw * np.exp(log), dtype=float)
+        return float(val) if val.ndim == 0 else val
 
 
 # non-normalizable candidates have O(1) tails; genuine bound states on a

@@ -37,17 +37,16 @@ def _slogdet_batch(mats):
 
     Columns are equilibrated by their max modulus first (tracked in the
     log) so pivot selection is not skewed by the x^n growth of higher
-    derivative rows.  Works for any float dtype, unlike LAPACK.
+    derivative rows.  Works for any float dtype, unlike LAPACK.  May overwrite mats.
     """
-    a = np.array(mats, copy=True)
-    *lead, k, _ = a.shape
-    a = a.reshape(-1, k, k)
+    *lead, k, _ = mats.shape
+    a = mats.reshape(-1, k, k)
     npts = a.shape[0]
     dt = a.dtype
     sign = np.ones(npts, dtype=dt)
     logd = np.zeros(npts, dtype=dt)
 
-    colscale = np.abs(a).max(axis=1)
+    colscale = np.maximum(a.max(axis=1), -a.min(axis=1))  # max |a| with no np.abs copy
     zero_col = colscale == 0
     sign[zero_col.any(axis=1)] = 0
     colscale[colscale == 0] = 1
@@ -98,7 +97,7 @@ def sign_log_det_orders(stack, orders):
     if k == 0:
         shape = stack.shape[2:]
         return np.ones(shape), np.zeros(shape)
-    # stack axes: (order, func, *pts) -> (*pts, row=order, col=func)
+    # stack axes: (order, func, *pts) -> (*pts, row=order, col=func); sel is a fresh copy
     sel = stack[list(orders)]
     mats = np.moveaxis(sel, (0, 1), (-2, -1))
     return _slogdet_batch(mats)
@@ -133,7 +132,7 @@ def wronskian_minor(seeds, j: int, x):
 
 
 def _log_w_ratios(stack):
-    """(ln W)'' and W'/W from a stack holding orders 0..k+1 of k functions."""
+    """(ln W)'' and the sign and log of W from a stack holding orders 0..k+1 of k functions."""
     k = stack.shape[1]
     sw, lw = sign_log_det_orders(stack, list(range(k)))
     sw1, lw1 = sign_log_det_orders(stack, list(range(k - 1)) + [k])
@@ -146,7 +145,7 @@ def _log_w_ratios(stack):
         if k >= 2:
             sa, la = sign_log_det_orders(stack, list(range(k - 2)) + [k - 1, k])
             r2 = r2 + sa * sw * np.exp(la - lw)
-    return (r2 - r1 * r1, r1, sw, lw)
+    return r2 - r1 * r1, sw, lw
 
 
 def log_w_second_deriv(seeds, x):
@@ -156,7 +155,7 @@ def log_w_second_deriv(seeds, x):
     if k == 0:
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
     stack = scaled_stack(seeds, x, k + 1)
-    result, _, sw, lw = _log_w_ratios(stack)
+    result, sw, lw = _log_w_ratios(stack)
     true_log = lw - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
     bad = (sw == 0) | (true_log < np.log(SINGULAR_FLOOR))
     if np.any(bad):

@@ -20,6 +20,7 @@ from susyq.design import make_plan
 from susyq.errors import ConfigError
 from susyq.oracle import Grid
 from susyq.partner import BaseState, added_state, normalize, transformed_eigenfunction
+from susyq.seeds import SeedSolution
 
 
 def test_parse_minimal_config():
@@ -173,7 +174,9 @@ BAD_NUMBERS = (
         ("run", "levels_to_report = 0"),
         ("spectrum", "levels_to_report = 0"),
     ]
-    + [(command, line) for line in BAD_NUMBERS for command in COMMANDS],
+    + [(command, line) for line in BAD_NUMBERS for command in COMMANDS]
+    # rejected by Grid before any array of that size is made
+    + [(command, "grid_n = 100000000000") for command in COMMANDS],
 )
 def test_commands_exit_64_on_bad_grid_or_level_count(tmp_path, command, line):
     keys = {"order": "2", "epsilons": "0.7, 1.2", "output_dir": str(tmp_path)}
@@ -223,6 +226,23 @@ def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
     for f, column in zip(states, columns, strict=True):
         scale = normalize(f(grid.closed_points), grid)
         np.testing.assert_allclose(column, scale * f(grid.points), rtol=1e-12, atol=0)
+
+
+def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, monkeypatch):
+    # validate normalizes the added candidates and run writes every state, each
+    # from one evaluation of the k seeds on grid.closed_points (n + 2 points)
+    sizes, first_two = [], SeedSolution.scaled_first_two
+
+    def counted(self, x, dtype=np.float64):
+        sizes.append(np.size(x))
+        return first_two(self, x, dtype=dtype)
+
+    monkeypatch.setattr(SeedSolution, "scaled_first_two", counted)
+    cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
+    assert run(cfg) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["predicted_added"]) == 2
+    assert sizes.count(cfg.grid_n + 2) == 2 * cfg.order
 
 
 def test_run_asks_oracle_past_the_predicted_spectrum(tmp_path):

@@ -7,6 +7,7 @@ from susyq.design import make_plan
 from susyq.errors import ConvergenceError, DomainError, PotentialSingularityError
 from susyq.oracle import (
     BRACKET_WIDTH,
+    MAX_GRID_N,
     Grid,
     Tridiag,
     discretize,
@@ -80,6 +81,9 @@ def test_grid_validation():
         Grid(x_min=2.0, x_max=1.0, n=500)
     with pytest.raises(ValueError):
         Grid(n=99)
+    assert Grid(n=MAX_GRID_N).n == MAX_GRID_N
+    with pytest.raises(ValueError):
+        Grid(n=MAX_GRID_N + 1)
     for x_max in (np.nan, np.inf):
         with pytest.raises(ValueError):
             Grid(x_max=x_max)
@@ -203,6 +207,25 @@ def test_residual_flags_wrong_energy():
     sample = np.linspace(0.5, 3.0, 6)
     assert residual(truncated_oscillator_v, f, 1.5, sample) < 1e-6
     assert residual(truncated_oscillator_v, f, 2.0, sample) > 0.1
+
+
+def test_residual_calls_f_once_on_the_stencil():
+    s = BaseState("odd", 1)
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return base_state_value(s, x)
+
+    sample = np.linspace(0.5, 3.0, 6)
+    got = residual(truncated_oscillator_v, f, 3.5, sample)
+    assert shapes == [(5, 6)]
+    # the same stencil, one row per call
+    h = 1e-3
+    g = [base_state_value(s, sample + d) for d in (2 * h, h, 0.0, -h, -2 * h)]
+    fpp = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) / (12 * h * h)
+    res = np.abs(-0.5 * fpp + (truncated_oscillator_v(sample) - 3.5) * g[2])
+    assert got == (res / np.maximum(1.0, np.abs(g[2]))).max()
 
 
 def test_residual_domain_checks():
