@@ -208,9 +208,10 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
         if command == "validate" or not report.ok:
             return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
-    p = plan.partner()
-    xs = grid.points
-    vt = partner_v(p, xs) if plan.order else truncated_oscillator_v(xs)
+    p, xs = plan.partner(), grid.points
+    # run reads the seeds validate evaluated on grid.closed_points; spectrum evaluates them here
+    on_grid = report.seed_table if command == "run" else SeedTable(p, grid.closed_points)
+    vt = on_grid.potential()[1:-1]
     states = []  # (energy, normalized state function) of every state in states.csv
     if command == "run":
         out = cfg.output_dir
@@ -219,7 +220,6 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
         reads = [(s.energy, lambda t, s=s: t.state(s))
                  for s in _branch_states(report.predicted_isospectral_branch, plan.epsilons)]
         reads += [(eps, lambda t, j=j: t.added(j)) for j, eps in report.predicted_added]
-        on_grid = SeedTable(p, grid.closed_points)
         columns = [xs]
         for energy, read in reads:
             vals = read(on_grid)
@@ -233,9 +233,9 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
     count = min(max(cfg.levels_to_report, len(predicted) + 1), 20)
     oracle_levels = eigenvalues_low(discretize(vt, grid), count)
     if command == "run":
-        vfun = (lambda x: partner_v(p, x)) if plan.order else truncated_oscillator_v
         sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)
-        payload["residuals"] = {f"E={_fmt(e)}": residual(vfun, f, e, sample) for e, f in states}
+        payload["residuals"] = {f"E={_fmt(e)}": residual(lambda x: partner_v(p, x), f, e, sample)
+                                for e, f in states}
     payload["oracle"] = {
         "eigenvalues": oracle_levels,
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},
@@ -250,8 +250,6 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
 def _spectrum_checks(predicted, oracle_levels):
     checks = []
     for level in predicted:
-        if not oracle_levels:
-            break
         nearest = min(oracle_levels, key=lambda v: abs(v - level))
         checks.append(
             {

@@ -179,8 +179,6 @@ def candidate_parity_physical(parities, j: int) -> bool:
 def predict_added(plan: TransformationPlan):
     """[(j, eps_j)] predicted to join the spectrum, 1-based, at most floor(k/2)."""
     k = plan.order
-    if k == 0:
-        return []
     if k % 2 == 1 and max(plan.epsilons) > GROUND_ENERGY:
         return []
     interval, violations = _common_interval(plan)
@@ -202,34 +200,27 @@ def predict_added(plan: TransformationPlan):
 
 
 def scan_singularities(plan: TransformationPlan, grid: Grid):
-    """Zeros of W(u_1..u_k) inside (x_min, x_max), bisected to 1e-10."""
-    seeds = plan.seeds()
-    k = len(seeds)
-    if k == 0:
+    """Zeros of W(u_1..u_k) in (x_min, x_max), bisected to 1e-10; one SeedTable holds the seeds."""
+    if plan.order == 0:
         return []
-    xs = grid.points
+    return _wronskian_zeros(SeedTable(plan.partner(), grid.closed_points), grid)
 
-    def w_sign_log(x):
-        stack = scaled_stack(seeds, x, k - 1)
-        return sign_log_det_orders(stack, list(range(k)))
 
-    sign, _ = w_sign_log(xs)
+def _wronskian_zeros(on_grid: SeedTable, grid: Grid):
+    """scan_singularities from W's sign in on_grid; one seed evaluation halves every flip."""
+    seeds, k, xs = on_grid.p.seeds, on_grid.p.order, grid.points
+    sign = on_grid.sw[1:-1]
     zeros = [float(x) for x, s in zip(xs, sign) if s == 0]
     flip = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flip:
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        s_lo = sign[i]
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            s_mid, _ = w_sign_log(np.asarray(mid))
-            if s_mid == 0:
-                lo = hi = mid
-                break
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
+    lo, hi, s_lo = xs[flip], xs[flip + 1], sign[flip]
+    while np.any(hi - lo > 1e-10):
+        active = hi - lo > 1e-10
+        mid = 0.5 * (lo + hi)
+        s_mid, _ = sign_log_det_orders(scaled_stack(seeds, mid, k - 1), list(range(k)))
+        # an exact zero at mid closes its bracket there
+        lo = np.where(active & ((s_mid == s_lo) | (s_mid == 0)), mid, lo)
+        hi = np.where(active & (s_mid != s_lo), mid, hi)
+    zeros += [float(z) for z in 0.5 * (lo + hi)]
     return sorted(zeros)
 
 
@@ -254,13 +245,14 @@ def boundary_check(f) -> str:
 
 @dataclass
 class ValidationReport:
-    """Outcome of the full rule pipeline for one plan."""
+    """Outcome of the rule pipeline for one plan; seed_table holds the seeds on the closed grid."""
 
     ok: bool
     violations: list = field(default_factory=list)
     predicted_added: list = field(default_factory=list)
     predicted_isospectral_branch: str = "odd-base"
     wronskian_zeros: list = field(default_factory=list)
+    seed_table: SeedTable | None = field(default=None, repr=False, compare=False)
 
 
 def _select_branch(p: PartnerPotential) -> str:
@@ -305,7 +297,9 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
                 )
             )
 
-    zeros = scan_singularities(plan, grid) if k >= 1 else []
+    # the one evaluation of the seeds on the grid: the scan, the candidates and cli.run read it
+    on_grid = SeedTable(plan.partner(), grid.closed_points)
+    zeros = _wronskian_zeros(on_grid, grid) if k >= 1 else []
     for z in zeros:
         violations.append((RULE_WRONSKIAN_ZERO, f"Wronskian zero at x = {z:.6g}"))
 
@@ -313,9 +307,8 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
     confirmed = []
     branch = "odd-base"
     if k >= 1 and not zeros:
-        p = plan.partner()
+        p = on_grid.p
         branch = _select_branch(p)
-        on_grid = None  # the seeds on grid.closed_points, once a candidate needs them
         for j, eps in predicted:
             try:
                 verdict = boundary_check(lambda x: added_state(p, j, x))
@@ -326,7 +319,6 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
                     (RULE_NONPHYSICAL, f"candidate j={j} fails the origin condition")
                 )
                 continue
-            on_grid = on_grid or SeedTable(p, grid.closed_points)
             try:
                 normalize(on_grid.added(j), grid)
             except (NonNormalizableError, SingularWronskianError):
@@ -342,4 +334,5 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
         predicted_added=confirmed,
         predicted_isospectral_branch=branch,
         wronskian_zeros=zeros,
+        seed_table=on_grid,
     )

@@ -11,8 +11,8 @@ eigenfunctions use the Crum representation
 
 and added-state candidates are ratios of a one-seed-deleted Wronskian to
 the full one.  Everything is evaluated through the exponent-tracked
-determinants of the wronskian module.  All states and candidates on one
-point array share one evaluation of the seeds (SeedTable).
+determinants of the wronskian module.  The partner, all states and all
+candidates on one point array share one evaluation of the seeds (SeedTable).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from scipy.integrate import simpson
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
-from .wronskian import WORK_DTYPE, log_w_second_deriv, scaled_stack, sign_log_det_orders
+from .wronskian import (WORK_DTYPE, log_w_second_deriv, log_w_second_deriv_stack, scaled_stack,
+                        sign_log_det_orders)
 
 
 def truncated_oscillator_v(x):
@@ -138,17 +139,24 @@ def added_state(p: PartnerPotential, j: int, x):
 
 
 class SeedTable:
-    """The k seeds of partner p, evaluated once on the points x.
+    """The k seeds of partner p, evaluated once on the points x: orders 0..k+1 and W's sign and log.
 
-    Transformed states and added candidates on x are all read from it; reads leave it unchanged.
+    The partner potential, states and candidates on x are read from it; reads leave it unchanged.
     """
 
     def __init__(self, p: PartnerPotential, x):
         self.p, self.x = p, np.asarray(x, dtype=float)
         self.half_x2 = np.asarray(self.x, dtype=WORK_DTYPE) ** 2 / 2  # each seed carries e^-half_x2
         if p.order:
-            self.table = scaled_stack(p.seeds, self.x, p.order)
+            self.table = scaled_stack(p.seeds, self.x, p.order + 1)
             self.sw, self.lw = sign_log_det_orders(self.table, list(range(p.order)))
+
+    def potential(self):
+        """partner_v(p, x)."""
+        v = truncated_oscillator_v(self.x)
+        if not self.p.order:
+            return v
+        return v - log_w_second_deriv_stack(self.table, self.sw, self.lw, self.x)
 
     def state(self, s: BaseState):
         """transformed_eigenfunction(p, s, x)."""
@@ -159,7 +167,7 @@ class SeedTable:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
             )
-        stack = np.concatenate([self.table, scaled_stack([s], self.x, k)], axis=1)
+        stack = np.concatenate([self.table[: k + 1], scaled_stack([s], self.x, k)], axis=1)
         s_num, l_num = sign_log_det_orders(stack, list(range(k + 1)))
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
@@ -186,9 +194,9 @@ class SeedTable:
         return float(val) if val.ndim == 0 else val
 
 
-# non-normalizable candidates have O(1) tails; genuine bound states on a
-# domain as short as x_max = 8 can still carry ~1e-7 (e.g. E = 15/2)
-TAIL_FRACTION = 1e-6
+# a bound state with tail t max|f| at x_max leaves about (t max|f|)^2 / (2 x_max) of its squared
+# norm beyond it, < 1e-9 max|f|^2 at 1e-4; genuine states at x_max = 8 reach 2e-5, invalid ones O(1)
+TAIL_FRACTION = 1e-4
 
 
 def normalize(vals, grid) -> float:

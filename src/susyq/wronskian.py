@@ -131,21 +131,26 @@ def wronskian_minor(seeds, j: int, x):
     return wronskian([s for i, s in enumerate(seeds, start=1) if i != j], x)
 
 
-def _log_w_ratios(stack):
-    """(ln W)'' and the sign and log of W from a stack holding orders 0..k+1 of k functions."""
+def log_w_second_deriv_stack(stack, sw, lw, x):
+    """(ln W)'' on x from a stack holding orders 0..k+1 of k functions and W's sign and log there.
+
+    Raises SingularWronskianError where W vanishes or |W| falls below SINGULAR_FLOOR.
+    """
     k = stack.shape[1]
-    sw, lw = sign_log_det_orders(stack, list(range(k)))
+    true_log = lw - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
+    bad = (sw == 0) | (true_log < np.log(SINGULAR_FLOOR))
+    if np.any(bad):
+        where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
+        raise SingularWronskianError(f"Wronskian vanishes near x = {where}")
     sw1, lw1 = sign_log_det_orders(stack, list(range(k - 1)) + [k])
     sb, lb = sign_log_det_orders(stack, list(range(k - 1)) + [k + 1])
-    # a vanished W has lw = -inf and the ratios go NaN; the caller turns
-    # those points into SingularWronskianError
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1 = sw1 * sw * np.exp(lw1 - lw)
-        r2 = sb * sw * np.exp(lb - lw)
-        if k >= 2:
-            sa, la = sign_log_det_orders(stack, list(range(k - 2)) + [k - 1, k])
-            r2 = r2 + sa * sw * np.exp(la - lw)
-    return r2 - r1 * r1, sw, lw
+    r1 = sw1 * sw * np.exp(lw1 - lw)
+    r2 = sb * sw * np.exp(lb - lw)
+    if k >= 2:
+        sa, la = sign_log_det_orders(stack, list(range(k - 2)) + [k - 1, k])
+        r2 = r2 + sa * sw * np.exp(la - lw)
+    result = np.asarray(r2 - r1 * r1, dtype=float)
+    return float(result) if result.ndim == 0 else result
 
 
 def log_w_second_deriv(seeds, x):
@@ -155,11 +160,5 @@ def log_w_second_deriv(seeds, x):
     if k == 0:
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
     stack = scaled_stack(seeds, x, k + 1)
-    result, sw, lw = _log_w_ratios(stack)
-    true_log = lw - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
-    bad = (sw == 0) | (true_log < np.log(SINGULAR_FLOOR))
-    if np.any(bad):
-        where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
-        raise SingularWronskianError(f"Wronskian vanishes near x = {where}")
-    result = np.asarray(result, dtype=float)
-    return float(result) if result.ndim == 0 else result
+    sw, lw = sign_log_det_orders(stack, list(range(k)))
+    return log_w_second_deriv_stack(stack, sw, lw, x)

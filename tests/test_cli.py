@@ -229,8 +229,9 @@ def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
 
 
 def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, monkeypatch):
-    # validate normalizes the added candidates and run writes every state, each
-    # from one evaluation of the k seeds on grid.closed_points (n + 2 points)
+    # the scan, the candidates, potential.csv, the oracle and every state of run
+    # read one evaluation of the k seeds on grid.closed_points (n + 2 points);
+    # nothing evaluates them on grid.points (n points)
     sizes, first_two = [], SeedSolution.scaled_first_two
 
     def counted(self, x, dtype=np.float64):
@@ -242,7 +243,20 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
     assert run(cfg) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["predicted_added"]) == 2
-    assert sizes.count(cfg.grid_n + 2) == 2 * cfg.order
+    assert sizes.count(cfg.grid_n + 2) == cfg.order
+    assert sizes.count(cfg.grid_n) == 0
+    sizes.clear()
+    assert run(cfg, "spectrum") == EXIT_OK
+    assert sizes.count(cfg.grid_n + 2) == cfg.order
+    assert sizes.count(cfg.grid_n) == 0
+
+
+@pytest.mark.parametrize("grid_n", [600, 4000])
+def test_run_accepts_genuine_states_on_a_short_domain(tmp_path, grid_n):
+    # at x_max = 8 the E = 15/2 state of this plan keeps |f(x_max)| = 1.4e-6 max|f|
+    cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], grid_n=grid_n)
+    assert run(cfg) == EXIT_OK
+    assert run(cfg, "validate") == EXIT_OK
 
 
 def test_run_asks_oracle_past_the_predicted_spectrum(tmp_path):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from susyq import design
 from susyq.design import (
     RULE_INTERVAL_MIXED,
     RULE_ODD_ABOVE_E0,
     RULE_PARITY_MISMATCH,
     RULE_WRONSKIAN_ZERO,
     IntervalClass,
+    TransformationPlan,
     boundary_check,
     candidate_parity_physical,
     classify_interval,
@@ -25,6 +27,7 @@ from susyq.errors import BoundaryEnergyError
 from susyq.oracle import Grid
 from susyq.partner import BaseState, base_state_value
 from susyq.seeds import Parity
+from susyq.wronskian import scaled_stack, sign_log_det_orders
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -94,6 +97,7 @@ def test_predict_added_class_b():
 
 
 def test_predict_added_first_order_is_empty():
+    assert predict_added(TransformationPlan((), ())) == []
     assert predict_added(make_plan((1.0,))) == []
     assert predict_added(make_plan((0.3,))) == []
 
@@ -118,6 +122,47 @@ def test_scan_singularities_examples():
     assert all(SMALL_GRID.x_min < z < SMALL_GRID.x_max for z in zeros)
     good = make_plan((2.6, 3.4), parities=(ODD, ODD))
     assert scan_singularities(good, SMALL_GRID) == []
+
+
+def scalar_bisection_zeros(plan, grid):
+    """Zeros of W by one scalar bisection per sign flip on grid.points, and each one's halvings."""
+    seeds, k, xs = plan.seeds(), plan.order, grid.points
+
+    def sign(x):
+        return sign_log_det_orders(scaled_stack(seeds, x, k - 1), list(range(k)))[0]
+
+    signs, zeros, halvings = sign(xs), [], []
+    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+        lo, hi, n = float(xs[i]), float(xs[i + 1]), 0
+        while hi - lo > 1e-10:
+            mid, n = 0.5 * (lo + hi), n + 1
+            s_mid = sign(np.asarray(mid))
+            if s_mid == 0:
+                lo = hi = mid
+            elif s_mid == signs[i]:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+        halvings.append(n)
+    return zeros, halvings
+
+
+def test_scan_halves_every_sign_flip_with_one_evaluation(monkeypatch):
+    plan = make_plan((2.6, 5.6), parities=(ODD, ODD))
+    want, halvings = scalar_bisection_zeros(plan, SMALL_GRID)
+    assert len(want) == 2 and min(halvings) > 20
+    calls = []
+
+    def counted(stack, orders):
+        calls.append(stack.shape[2:])
+        return sign_log_det_orders(stack, orders)
+
+    monkeypatch.setattr(design, "sign_log_det_orders", counted)
+    got = scan_singularities(plan, SMALL_GRID)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # the grid pass reads the seed table; each halving evaluates both brackets at once
+    assert calls == [(2,)] * max(halvings)
 
 
 def test_boundary_check_examples():

@@ -218,11 +218,14 @@ def test_seed_table_reads_are_pure(eps):
     p = make_plan(eps).partner()
     x = Grid(n=400).closed_points
     table = SeedTable(p, x)
-    seeds = np.stack([u.scaled_derivatives(x, len(eps), dtype=WORK_DTYPE) for u in p.seeds], axis=1)
+    # orders 0..k+1 of every seed: the states need 0..k, the potential k+1
+    seeds = np.stack([u.scaled_derivatives(x, len(eps) + 1, dtype=WORK_DTYPE) for u in p.seeds],
+                     axis=1)
     held = [a.copy() for a in (table.sw, table.lw)]
     reads = [(BaseState(b, n), table.state, transformed_eigenfunction)
              for b in ("odd", "even") for n in range(4)]
     reads += [(j, table.added, added_state) for j in range(1, len(eps) + 1)]
+    reads += [(None, lambda _: table.potential(), lambda p, _, x: partner_v(p, x))]
     first = [read(arg) for arg, read, _ in reads]
     again = [read(arg) for arg, read, _ in reversed(reads)][::-1]
     for (arg, _, fresh), a, b in zip(reads, first, again):
@@ -232,3 +235,13 @@ def test_seed_table_reads_are_pure(eps):
     np.testing.assert_array_equal(table.table, seeds)
     for a, b in zip(held, (table.sw, table.lw)):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("eps", [(-5.5, -4.5, -3.5, -2.5), KNOWN_FAILURE])
+def test_seed_table_potential_is_partner_v(eps):
+    # test_seed_table_reads_are_pure compares on a grid; here off-grid points and a scalar
+    p = make_plan(eps).partner()
+    for x in (np.linspace(0.05, 9.9, 7), 2.5):
+        got = SeedTable(p, x).potential()
+        assert got.dtype == np.float64
+        assert got.tobytes() == partner_v(p, x).tobytes()
