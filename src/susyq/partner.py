@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
@@ -167,7 +166,8 @@ class SeedTable:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
             )
-        stack = np.concatenate([self.table[: k + 1], scaled_stack([s], self.x, k)], axis=1)
+        column = s.scaled_derivatives(self.x, k, dtype=WORK_DTYPE)[:, None]
+        stack = np.concatenate([self.table[: k + 1], column], axis=1)
         s_num, l_num = sign_log_det_orders(stack, list(range(k + 1)))
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
@@ -213,7 +213,18 @@ def normalize(vals, grid) -> float:
         raise NonNormalizableError(
             f"tail |f(x_max)| = {abs(vals[-1]):.3e} exceeds {TAIL_FRACTION} * max|f|"
         )
-    norm_sq = simpson(vals * vals, x=grid.closed_points)
+    norm_sq = _simpson(vals * vals, grid.h)
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise NonNormalizableError("quadrature of f^2 is not positive and finite")
     return 1.0 / math.sqrt(norm_sq)
+
+
+def _simpson(y, h: float) -> float:
+    """Integral of samples y on a uniform grid of spacing h, as scipy.integrate.simpson.
+
+    Composite Simpson for an odd number of points; for an even number, Simpson
+    up to the last interval plus Cartwright's correction for that interval.
+    """
+    if len(y) % 2:
+        return h / 3 * (y[0] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum() + y[-1])
+    return _simpson(y[:-1], h) + 5 * h / 12 * y[-1] + 2 * h / 3 * y[-2] - h / 12 * y[-3]

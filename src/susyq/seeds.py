@@ -19,6 +19,10 @@ Leibniz-expanded recurrence
     u^{(n+2)} = (x^2 - 2*eps) u^{(n)} + 2 n x u^{(n-1)} + n (n-1) u^{(n-2)}
 
 which holds verbatim for the stripped values v_n as well.
+
+A set of seeds is evaluated together (first_two, derivatives): every 1F1
+series of the set runs in one kummer_m call, and a lone seed is a set of
+one, so it gets the same values, bitwise, as inside any set.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kummer import kummer_m, kummer_m_deriv
+from .kummer import kummer_m, kummer_m_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 
 
 class Parity(enum.IntEnum):
@@ -42,11 +46,12 @@ def derivative_table(v0, v1, epsilon, x, max_order, dtype=np.float64):
 
     Works for any solution of u'' = (x^2 - 2*epsilon) u given its
     Gaussian-stripped value and first derivative (or the plain values,
-    the recurrence is the same).
+    the recurrence is the same).  epsilon may be an array that broadcasts
+    against v0, one energy per leading row.
     """
     x = np.asarray(x, dtype=dtype)
     z = x * x
-    eps = dtype(epsilon)
+    eps = np.asarray(epsilon, dtype=dtype)
     table = [np.asarray(v0, dtype=dtype), np.asarray(v1, dtype=dtype)]
     for n in range(max_order - 1):
         nxt = (z - 2 * eps) * table[n]
@@ -91,25 +96,45 @@ class SeedSolution:
 
     def scaled_first_two(self, x, dtype=np.float64):
         """(v0, v1) = (u e^{x^2/2}, u' e^{x^2/2}) at x (scalar or array), x >= 0."""
-        x = np.asarray(x, dtype=dtype)
-        z = x * x
-        v0 = np.zeros_like(x)
-        v1 = np.zeros_like(x)
-        if self.b1 != 0:
-            m = kummer_m(self.a_even, 0.5, z, dtype=dtype)
-            mp = kummer_m_deriv(self.a_even, 0.5, z, dtype=dtype)
-            v0 = v0 + self.b1 * m
-            v1 = v1 + self.b1 * (2 * x * mp - x * m)
-        if self.b2 != 0:
-            m = kummer_m(self.a_odd, 1.5, z, dtype=dtype)
-            mp = kummer_m_deriv(self.a_odd, 1.5, z, dtype=dtype)
-            v0 = v0 + self.b2 * x * m
-            v1 = v1 + self.b2 * (m + 2 * z * mp - z * m)
-        return v0, v1
+        v0, v1 = first_two((self,), x, dtype=dtype)
+        return v0[0], v1[0]
 
     def scaled_derivatives(self, x, max_order, dtype=np.float64):
-        v0, v1 = self.scaled_first_two(x, dtype=dtype)
-        return derivative_table(v0, v1, self.epsilon, x, max_order, dtype=dtype)
+        return derivatives((self,), x, max_order, dtype=dtype)[:, 0]
+
+
+def first_two(seeds, x, dtype=np.float64):
+    """(v0, v1) of every seed at x >= 0, each of shape (len(seeds),) + x.shape.
+
+    One kummer_m call sums M = 1F1(a, b; x^2) and M(a+1, b+1) for each branch
+    a seed uses (even: b = 1/2, odd: b = 3/2); M' = (a/b) M(a+1, b+1).
+    """
+    x = np.asarray(x, dtype=dtype)
+    z = x * x
+    # one row per branch in use, (seed, coefficient, a, b), the even branches first
+    rows = [(i, s.b1, s.a_even, 0.5) for i, s in enumerate(seeds) if s.b1 != 0]
+    even, odd = slice(len(rows)), slice(len(rows), None)
+    rows += [(i, s.b2, s.a_odd, 1.5) for i, s in enumerate(seeds) if s.b2 != 0]
+    idx, c, a, b = (np.array(column) for column in zip(*rows))
+    m_all = kummer_m(np.concatenate([a, a + 1]), np.concatenate([b, b + 1]), z, dtype=dtype)
+    per_row = (-1,) + (1,) * x.ndim  # a row's scalar against the points
+    m = m_all[: a.size]
+    mp = (a.astype(dtype) / b.astype(dtype)).reshape(per_row) * m_all[a.size :]
+    c = c.reshape(per_row)
+    v0 = np.zeros((len(seeds),) + x.shape, dtype=dtype)
+    v1 = np.zeros_like(v0)
+    v0[idx[even]] += c[even] * m[even]
+    v1[idx[even]] += c[even] * (2 * x * mp[even] - x * m[even])
+    v0[idx[odd]] += c[odd] * x * m[odd]
+    v1[idx[odd]] += c[odd] * (m[odd] + 2 * z * mp[odd] - z * m[odd])
+    return v0, v1
+
+
+def derivatives(seeds, x, max_order, dtype=np.float64):
+    """[v_0 .. v_max_order] of every seed, shape (max_order + 1, len(seeds)) + x.shape."""
+    v0, v1 = first_two(seeds, x, dtype=dtype)
+    eps = np.array([s.epsilon for s in seeds]).reshape((-1,) + (1,) * np.ndim(x))
+    return derivative_table(v0, v1, eps, x, max_order, dtype=dtype)
 
 
 def make_seed(epsilon: float, parity: Parity) -> SeedSolution:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularWronskianError
+from .seeds import derivatives as seed_derivatives
 
 WORK_DTYPE = np.longdouble
 
@@ -52,7 +53,8 @@ def _slogdet_batch(mats):
     colscale[colscale == 0] = 1
     a /= colscale[:, None, :]
     with np.errstate(divide="ignore"):
-        logd += np.log(colscale).sum(axis=1)
+        for c in range(k):  # column by column: sum(axis=1) orders its adds by batch size
+            logd += np.log(colscale[:, c])
 
     rows = np.arange(npts)
     for c in range(k):
@@ -80,11 +82,12 @@ def _check_domain(x):
     return x
 
 
-def scaled_stack(funcs, x, max_order, dtype=WORK_DTYPE):
-    """Derivative table of shape (max_order+1, len(funcs)) + x.shape, Gaussian stripped."""
-    return np.stack(
-        [f.scaled_derivatives(x, max_order, dtype=dtype) for f in funcs], axis=1
-    )
+def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
+    """Derivative table of shape (max_order+1, len(seeds)) + x.shape, Gaussian stripped.
+
+    All seeds come from one batched evaluation, a single kummer_m call.
+    """
+    return seed_derivatives(seeds, x, max_order, dtype=dtype)
 
 
 def sign_log_det_orders(stack, orders):

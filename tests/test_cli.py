@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from susyq import cli
+from susyq import cli, seeds
 from susyq.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -20,7 +23,6 @@ from susyq.design import make_plan
 from susyq.errors import ConfigError
 from susyq.oracle import Grid
 from susyq.partner import BaseState, added_state, normalize, transformed_eigenfunction
-from susyq.seeds import SeedSolution
 
 
 def test_parse_minimal_config():
@@ -230,25 +232,26 @@ def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
 
 def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, monkeypatch):
     # the scan, the candidates, potential.csv, the oracle and every state of run
-    # read one evaluation of the k seeds on grid.closed_points (n + 2 points);
+    # read one batched evaluation of the k seeds on grid.closed_points (n + 2 points);
     # nothing evaluates them on grid.points (n points)
-    sizes, first_two = [], SeedSolution.scaled_first_two
+    evaluated, batch = [], seeds.first_two
 
-    def counted(self, x, dtype=np.float64):
-        sizes.append(np.size(x))
-        return first_two(self, x, dtype=dtype)
+    def counted(batch_seeds, x, dtype=np.float64):
+        evaluated.extend((u, np.size(x)) for u in batch_seeds)
+        return batch(batch_seeds, x, dtype=dtype)
 
-    monkeypatch.setattr(SeedSolution, "scaled_first_two", counted)
+    monkeypatch.setattr(seeds, "first_two", counted)
     cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
-    assert run(cfg) == EXIT_OK
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert len(report["predicted_added"]) == 2
-    assert sizes.count(cfg.grid_n + 2) == cfg.order
-    assert sizes.count(cfg.grid_n) == 0
-    sizes.clear()
-    assert run(cfg, "spectrum") == EXIT_OK
-    assert sizes.count(cfg.grid_n + 2) == cfg.order
-    assert sizes.count(cfg.grid_n) == 0
+    plan_seeds = make_plan(cfg.epsilons).seeds()
+    for command in ("run", "spectrum"):
+        evaluated.clear()
+        assert run(cfg, command) == EXIT_OK
+        if command == "run":
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert len(report["predicted_added"]) == 2
+        on_closed = [u for u, size in evaluated if size == cfg.grid_n + 2]
+        assert sorted(on_closed, key=plan_seeds.index) == list(plan_seeds)
+        assert not [u for u, size in evaluated if size == cfg.grid_n]
 
 
 @pytest.mark.parametrize("grid_n", [600, 4000])
@@ -308,3 +311,13 @@ def test_main_bad_config_is_config_error(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("order = 1\n")
     assert main(["run", str(config)]) == EXIT_CONFIG
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs every process and every CLI call ~0.3 s and ~24 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, susyq, susyq.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyq.errors import InvalidParameterError
 from susyq.kummer import kummer_m, kummer_m_deriv
+from susyq.oracle import Grid
 
 
 def test_at_zero_is_one():
@@ -122,3 +123,16 @@ def test_deriv_rejects_bad_shifted_b():
         kummer_m_deriv(1.0, -0.0, 1.0, n=1)
     with pytest.raises(InvalidParameterError):
         kummer_m_deriv(1.0, -1.0, 1.0, n=2)
+
+
+def test_point_alone_equals_the_point_in_a_grid_batch():
+    # every entry stops on its own, so no other point or row of a call moves its value
+    z = Grid().closed_points ** 2
+    picks = list(range(0, z.size, 97)) + [z.size - 2, z.size - 1]
+    for a in (0.3, -2.7, -5.0, 1.25):
+        batch = kummer_m(a, 0.5, z)
+        for i in picks:
+            assert kummer_m(a, 0.5, z[i]) == batch[i]
+    rows = kummer_m(np.array([0.3, -2.7, 1.3]), np.array([0.5, 1.5, 1.5]), z)
+    assert rows.shape == (3, z.size)
+    assert rows[1].tobytes() == kummer_m(-2.7, 1.5, z).tobytes()

@@ -245,3 +245,22 @@ def test_seed_table_potential_is_partner_v(eps):
         got = SeedTable(p, x).potential()
         assert got.dtype == np.float64
         assert got.tobytes() == partner_v(p, x).tobytes()
+
+
+def test_seed_table_point_alone_equals_the_point_in_a_grid_batch():
+    p = make_plan(KNOWN_FAILURE).partner()
+    x = Grid().closed_points
+    batch = SeedTable(p, x).potential()
+    for i in list(range(1, x.size, 400)) + [x.size - 2, x.size - 1]:
+        assert SeedTable(p, x[i : i + 1]).potential().tobytes() == batch[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [599, 600, 4000, 8001])
+def test_normalize_is_scipy_simpson_on_the_closed_grid(n):
+    # n + 2 closed points: an odd count takes plain composite Simpson,
+    # an even one Cartwright's correction for the last interval
+    grid = Grid(n=n)
+    x = grid.closed_points
+    f = x * np.exp(-x * x / 2) * (1 + 0.5 * np.sin(3 * x))
+    expected = 1 / math.sqrt(simpson(f * f, x=x))
+    assert abs(normalize(f, grid) - expected) <= 1e-15 * expected

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyq.errors import DomainError
+from susyq.oracle import Grid
 from susyq.seeds import (
     Parity,
     derivative_table,
+    derivatives,
     make_seed,
     make_seed_general,
     seed_derivs,
@@ -132,3 +134,15 @@ def test_ode_residual_property(eps, par, x):
     scale = max(np.abs(d).max(), 1e-30)
     residual = d[2] - (x * x - 2 * eps) * d[0]
     assert abs(residual) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("seed", [make_seed(0.3, Parity.EVEN), make_seed(-2.7, Parity.ODD),
+                                  make_seed_general(0.9, 0.7, -1.3)])
+def test_seed_point_alone_equals_the_point_in_a_grid_batch(seed):
+    x = Grid().closed_points
+    batch = seed.scaled_derivatives(x, 5)
+    for i in list(range(0, x.size, 211)) + [x.size - 1]:
+        assert seed.scaled_derivatives(x[i : i + 1], 5).tobytes() == batch[:, i : i + 1].tobytes()
+    # a lone seed is the same evaluation as a seed inside a batch of seeds
+    both = derivatives((make_seed(1.1, Parity.ODD), seed), x, 5)
+    assert both[:, 1].tobytes() == batch.tobytes()
