@@ -135,10 +135,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # one %-format per row; "%.11e" prints every float, nan and inf included, as _fmt does
+    row_fmt = ",".join(["%.11e"] * len(columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    path.write_text("\n".join([",".join(header)] + [row_fmt % row for row in rows]) + "\n")
 
 
 def _branch_states(branch: str, exclude: tuple[float, ...]) -> list[BaseState]:
@@ -209,11 +209,14 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
             return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
     p, xs = plan.partner(), grid.points
-    # run reads the seeds validate evaluated on grid.closed_points; spectrum evaluates them here
-    on_grid = report.seed_table if command == "run" else SeedTable(p, grid.closed_points)
-    vt = on_grid.potential()[1:-1]
     states = []  # (energy, normalized state function) of every state in states.csv
-    if command == "run":
+    if command == "spectrum":
+        # spectrum needs only Vt: it evaluates the seeds on grid.closed_points and holds no table
+        vt = partner_v(p, grid.closed_points)[1:-1]
+    else:
+        # run reads the seeds, and W's factors, that validate evaluated on grid.closed_points
+        on_grid = report.seed_table
+        vt = on_grid.potential()[1:-1]
         out = cfg.output_dir
         _write_csv(out / "potential.csv", ["x", "V", "Vtilde"],
                    [xs, truncated_oscillator_v(xs), vt])

@@ -79,21 +79,24 @@ def discretize(vals, g: Grid) -> Tridiag:
 def sturm_count(t: Tridiag, shift):
     """Number of eigenvalues of t strictly below shift (negative pivots of t - shift*I).
 
-    For an array of shifts, one pass over t counts for all of them.
+    For an array of shifts, each shift runs the recurrence in Python floats;
+    memoryviews hand out the matrix entries without a boxed copy of them.
     """
     shift = np.asarray(shift, dtype=float)
-    diag = t.diag
-    off2 = t.off * t.off
+    # a leading b^2 = 0 makes the first pivot d_0 - s exactly, with no branch in the loop
+    diag, off2 = memoryview(t.diag), memoryview(np.concatenate(([0.0], t.off * t.off)))
     tiny = np.finfo(float).tiny
-    count = np.zeros(shift.shape, dtype=int)
-    d = np.ones(shift.shape)
-    for i in range(diag.size):
-        q = diag[i] - shift
-        if i:
-            q -= off2[i - 1] / d
-        q = np.where(q == 0.0, tiny, q)
-        count += q < 0.0
-        d = q
+    counts = []
+    for s in shift.ravel().tolist():
+        count, d = 0, 1.0
+        for a, b2 in zip(diag, off2):
+            d = (a - s) - b2 / d
+            if d == 0.0:
+                d = tiny
+            if d < 0.0:
+                count += 1
+        counts.append(count)
+    count = np.array(counts, dtype=int).reshape(shift.shape)
     return int(count) if count.ndim == 0 else count
 
 

@@ -10,9 +10,18 @@ eigenfunctions use the Crum representation
     psi_t ~ W(u_1, ..., u_k, psi) / W(u_1, ..., u_k)
 
 and added-state candidates are ratios of a one-seed-deleted Wronskian to
-the full one.  Everything is evaluated through the exponent-tracked
-determinants of the wronskian module.  The partner, all states and all
-candidates on one point array share one evaluation of the seeds (SeedTable).
+the full one.  The partner, all states and all candidates on one point
+array share one evaluation of the seeds (SeedTable), which also holds the
+LU of W's matrix M (rows: orders 0..k-1, columns: seeds).  Both ratios are
+read from it by triangular solves, with no determinant of their own:
+
+    W(u_1..u_k, psi) / W = psi^(k) - r M^{-1} c      (c: psi's orders 0..k-1,
+                                                      r: the seeds' order k)
+    W(minor_j) / W = (-1)^(k+j) (M^{-1})_{j,k}       (one solve for every j)
+
+The partner potential stays on the exponent-tracked determinants of
+(ln W)'' in the wronskian module, so that its rounding, which the
+eigenvalue oracle sees, is that of the determinants alone.
 """
 
 from __future__ import annotations
@@ -24,8 +33,9 @@ import numpy as np
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
-from .wronskian import (WORK_DTYPE, log_w_second_deriv, log_w_second_deriv_stack, scaled_stack,
-                        sign_log_det_orders)
+from .wronskian import (WORK_DTYPE, WronskianLU, log_w_second_deriv, log_w_second_deriv_stack,
+                        scaled_stack)
+from .wronskian import sign_log_det_orders  # noqa: F401 (perfbench/tracing.py patches it)
 
 
 def truncated_oscillator_v(x):
@@ -138,7 +148,7 @@ def added_state(p: PartnerPotential, j: int, x):
 
 
 class SeedTable:
-    """The k seeds of partner p, evaluated once on the points x: orders 0..k+1 and W's sign and log.
+    """The k seeds of partner p, evaluated once on the points x: orders 0..k+1 and W's LU, sign and log.
 
     The partner potential, states and candidates on x are read from it; reads leave it unchanged.
     """
@@ -148,7 +158,9 @@ class SeedTable:
         self.half_x2 = np.asarray(self.x, dtype=WORK_DTYPE) ** 2 / 2  # each seed carries e^-half_x2
         if p.order:
             self.table = scaled_stack(p.seeds, self.x, p.order + 1)
-            self.sw, self.lw = sign_log_det_orders(self.table, list(range(p.order)))
+            self.lu = WronskianLU(self.table)
+            self.sw, self.lw = self.lu.sign, self.lu.log
+        self._candidates = None
 
     def potential(self):
         """partner_v(p, x)."""
@@ -166,32 +178,42 @@ class SeedTable:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
             )
-        column = s.scaled_derivatives(self.x, k, dtype=WORK_DTYPE)[:, None]
-        stack = np.concatenate([self.table[: k + 1], column], axis=1)
-        s_num, l_num = sign_log_det_orders(stack, list(range(k + 1)))
+        column = s.scaled_derivatives(self.x, k, dtype=WORK_DTYPE)
+        # W(u, psi)/W is the Schur complement psi^(k) - r M^-1 c of W's matrix M in the
+        # numerator's, with c = psi's orders 0..k-1 and r = the seeds' order-k row
+        ratio = column[k].copy()
+        for r_j, y_j in zip(self.table[k], self._solve(column[:k])):
+            ratio -= r_j * y_j
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
         # Gaussian exponents: numerator e^{-(k+1)x^2/2}, denominator e^{-k x^2/2}
-        return self._over_w(s_num, l_num - self.lw - self.half_x2 - WORK_DTYPE(scale))
+        return _as_float(ratio * np.exp(-self.half_x2 - WORK_DTYPE(scale)))
 
     def added(self, j: int):
         """added_state(p, j, x)."""
         k = self.p.order
         if not 1 <= j <= k:
             raise IndexError(f"seed index {j} outside 1..{k}")
-        idx = [i for i in range(k) if i != j - 1]
-        s_num, l_num = sign_log_det_orders(self.table[:, idx], list(range(k - 1)))
-        # minor carries e^{-(k-1)x^2/2}, denominator e^{-k x^2/2}: net e^{+x^2/2}
-        return self._over_w(s_num, l_num - self.lw + self.half_x2)
+        if self._candidates is None:
+            # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
+            # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
+            e_k = np.zeros((k,) + self.x.shape, dtype=WORK_DTYPE)
+            e_k[k - 1] = 1
+            self._candidates = self._solve(e_k) * np.exp(self.half_x2)
+        return _as_float((-1) ** (k + j) * self._candidates[j - 1])
 
-    def _over_w(self, s_num, log):
-        """s_num sign(W) e^log as float; raises where W vanishes on x."""
+    def _solve(self, b):
+        """M^{-1} b from W's LU; raises where W vanishes on x."""
         if np.any(self.sw == 0):
             raise SingularWronskianError(
                 f"Wronskian vanishes on the requested points near x = {self.x}"
             )
-        val = np.asarray(s_num * self.sw * np.exp(log), dtype=float)
-        return float(val) if val.ndim == 0 else val
+        return self.lu.solve(b)
+
+
+def _as_float(val):
+    val = np.asarray(val, dtype=float)
+    return float(val) if val.ndim == 0 else val
 
 
 # a bound state with tail t max|f| at x_max leaves about (t max|f|)^2 / (2 x_max) of its squared

@@ -18,6 +18,13 @@ The elimination kernel runs in extended precision (numpy longdouble) by
 default: the W''/W ratio sits under a (W'/W)^2 ~ (2kx)^2 subtraction, and
 plain float64 LU leaves ~1e-7 noise in the partner potential at x ~ 6,
 an order above what the closed-form checks allow.
+
+The kernel also returns its LU factors, and WronskianLU keeps those of W's
+matrix M for later triangular solves: every ratio of a bordered or minor
+determinant to W is then O(k^2) per point instead of a fresh elimination
+(see partner.SeedTable).  (ln W)'' stays on its three determinants: solves
+would move the partner potential's rounding, in both directions against
+mpmath, and the potential is what the eigenvalue oracle reads.
 """
 
 from __future__ import annotations
@@ -33,12 +40,16 @@ WORK_DTYPE = np.longdouble
 SINGULAR_FLOOR = 1e-300
 
 
-def _slogdet_batch(mats):
-    """(sign, log|det|) of a (..., k, k) stack by LU with partial pivoting.
+def _lu_batch(mats):
+    """(sign, log|det|, (lu, colscale, pivots)) of a (..., k, k) stack by LU with partial pivoting.
 
     Columns are equilibrated by their max modulus first (tracked in the
     log) so pivot selection is not skewed by the x^n growth of higher
-    derivative rows.  Works for any float dtype, unlike LAPACK.  May overwrite mats.
+    derivative rows.  Works for any float dtype, unlike LAPACK.  Overwrites
+    mats where reshaping it to (points, k, k) is a view.  The factors, with
+    points flattened to the leading axis, satisfy P (mats / colscale) = L U:
+    lu holds U on and above the diagonal and L's multipliers below it, and
+    pivots[c] is the row swapped with row c at step c.
     """
     *lead, k, _ = mats.shape
     a = mats.reshape(-1, k, k)
@@ -57,8 +68,10 @@ def _slogdet_batch(mats):
             logd += np.log(colscale[:, c])
 
     rows = np.arange(npts)
+    pivots = []
     for c in range(k):
         piv = np.abs(a[:, c:, c]).argmax(axis=1) + c
+        pivots.append(piv)
         swap = piv != c
         sign[swap] = -sign[swap]
         tmp = a[rows, piv].copy()
@@ -69,10 +82,53 @@ def _slogdet_batch(mats):
         with np.errstate(divide="ignore", invalid="ignore"):
             logd += np.log(np.abs(p))
             if c + 1 < k:
-                f = np.where(p[:, None] != 0, a[:, c + 1 :, c] / p[:, None], 0)
+                f = a[:, c + 1 :, c]  # L's multipliers, written in place
+                np.divide(f, p[:, None], out=f)
+                f[p == 0] = 0
                 a[:, c + 1 :, c + 1 :] -= f[:, :, None] * a[:, None, c, c + 1 :]
     logd[sign == 0] = -np.inf
-    return sign.reshape(lead), logd.reshape(lead)
+    return sign.reshape(lead), logd.reshape(lead), (a, colscale, pivots)
+
+
+class WronskianLU:
+    """W's matrix M = [v_i of function j] (i = 0..k-1) of a stack, factored once at every point.
+
+    sign and log are det M as sign_log_det_orders(stack, range(k)) gives them,
+    bitwise; solve(b) is M^{-1} b by two triangular solves against the held
+    factors.  The stack itself is never written.
+    """
+
+    def __init__(self, stack):
+        k = stack.shape[1]
+        # stack[list(...)] is a copy; the elimination runs in place and must not reach the stack
+        mats = np.moveaxis(stack[list(range(k))], (0, 1), (-2, -1))
+        self.sign, self.log, (lu, colscale, self._pivots) = _lu_batch(mats)
+        # (row, column, point) layout: every slice below is contiguous over the points
+        self._lu, self._colscale = np.moveaxis(lu, 0, -1), colscale.T
+        self._perm = None
+
+    def solve(self, b):
+        """M^{-1} b at every point, in WORK_DTYPE; b has shape (k,) + the points' shape."""
+        lu = self._lu
+        k, npts = lu.shape[1:]
+        if self._perm is None:  # compose the row swaps once: (P b)[i] = b[perm[i]]
+            perm = np.repeat(np.arange(k)[:, None], npts, axis=1)
+            cols = np.arange(npts)
+            for c, piv in enumerate(self._pivots):
+                tmp = perm[piv, cols].copy()
+                perm[piv, cols] = perm[c]
+                perm[c] = tmp
+            self._perm = perm
+        b = np.asarray(b, dtype=WORK_DTYPE)
+        y = np.take_along_axis(b.reshape(k, npts), self._perm, axis=0)
+        # column-oriented substitutions: elementwise over the points, so no value depends on its batch
+        for j in range(k - 1):
+            y[j + 1 :] -= lu[j + 1 :, j] * y[j]
+        for j in range(k - 1, -1, -1):
+            y[j] /= lu[j, j]
+            y[:j] -= lu[:j, j] * y[j]
+        y /= self._colscale
+        return y.reshape(b.shape)
 
 
 def _check_domain(x):
@@ -103,7 +159,8 @@ def sign_log_det_orders(stack, orders):
     # stack axes: (order, func, *pts) -> (*pts, row=order, col=func); sel is a fresh copy
     sel = stack[list(orders)]
     mats = np.moveaxis(sel, (0, 1), (-2, -1))
-    return _slogdet_batch(mats)
+    sign, logd, _ = _lu_batch(mats)
+    return sign, logd
 
 
 def det_orders(seeds, orders, x):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -23,6 +24,9 @@ from susyq.design import make_plan
 from susyq.errors import ConfigError
 from susyq.oracle import Grid
 from susyq.partner import BaseState, added_state, normalize, transformed_eigenfunction
+
+# the package re-exports a function named `wronskian`, so the module comes from importlib
+wronskian = importlib.import_module("susyq.wronskian")
 
 
 def test_parse_minimal_config():
@@ -203,6 +207,16 @@ def test_numerical_failure_inside_any_stage_exits_3_with_report(tmp_path, comman
     assert report["plan"] == {"order": 1, "epsilons": [0.2], "parities": [1]}
 
 
+def test_csv_rows_equal_the_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    columns = list(rng.normal(scale=1e3, size=(3, 200)))
+    columns.append(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308] * 25))
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a", "b", "c", "d"], columns)
+    lines = ["a,b,c,d"] + [",".join(f"{v:.11e}" for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
     # the columns handed to the CSV writer, at full precision
     written, write_csv = {}, cli._write_csv
@@ -252,6 +266,34 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
         on_closed = [u for u, size in evaluated if size == cfg.grid_n + 2]
         assert sorted(on_closed, key=plan_seeds.index) == list(plan_seeds)
         assert not [u for u, size in evaluated if size == cfg.grid_n]
+
+
+def test_run_reads_states_and_candidates_by_solves_against_one_lu(tmp_path, monkeypatch):
+    # on grid.closed_points: one solve against e_k for every candidate, read by validate's
+    # normalizability check and by states.csv, one solve per state, and W's k x k matrix
+    # as the only matrix size eliminated there (no (k + 1) numerator, no (k - 1) minor)
+    solves, sizes = [], []
+    solve, lu_batch = wronskian.WronskianLU.solve, wronskian._lu_batch
+
+    def counted_solve(self, b):
+        solves.append(np.asarray(b))
+        return solve(self, b)
+
+    def counted_lu(mats):
+        sizes.append((mats.shape[-1], mats.size // mats.shape[-1] ** 2))
+        return lu_batch(mats)
+
+    monkeypatch.setattr(wronskian.WronskianLU, "solve", counted_solve)
+    monkeypatch.setattr(wronskian, "_lu_batch", counted_lu)
+    cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
+    assert run(cfg) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["predicted_added"]) == 2
+    on_grid = [b for b in solves if b.shape == (4, cfg.grid_n + 2)]
+    e_k = [b for b in on_grid if np.all(b[:-1] == 0) and np.all(b[-1] == 1)]
+    assert len(e_k) == 1
+    assert len(on_grid) == 1 + cli.N_ISO_STATES
+    assert {k for k, npts in sizes if npts == cfg.grid_n + 2} == {4}
 
 
 @pytest.mark.parametrize("grid_n", [600, 4000])

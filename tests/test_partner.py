@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from susyq.design import make_plan
+from susyq.design import make_plan, validate
 from susyq.errors import DegenerateEnergyError, NonNormalizableError
 from susyq.oracle import Grid
 from susyq.partner import (
@@ -19,7 +19,7 @@ from susyq.partner import (
     truncated_oscillator_v,
 )
 from susyq.seeds import Parity, make_seed, seed_value
-from susyq.wronskian import WORK_DTYPE
+from susyq.wronskian import WORK_DTYPE, sign_log_det_orders
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -250,9 +250,50 @@ def test_seed_table_potential_is_partner_v(eps):
 def test_seed_table_point_alone_equals_the_point_in_a_grid_batch():
     p = make_plan(KNOWN_FAILURE).partner()
     x = Grid().closed_points
-    batch = SeedTable(p, x).potential()
-    for i in list(range(1, x.size, 400)) + [x.size - 2, x.size - 1]:
-        assert SeedTable(p, x[i : i + 1]).potential().tobytes() == batch[i : i + 1].tobytes()
+    reads = [lambda t: t.potential(), lambda t: t.state(BaseState("odd", 2)),
+             lambda t: t.state(BaseState("even", 0)), lambda t: t.added(1), lambda t: t.added(8)]
+    batch = SeedTable(p, x)
+    for read in reads:
+        vals = read(batch)
+        for i in list(range(1, x.size, 400)) + [x.size - 2, x.size - 1]:
+            assert read(SeedTable(p, x[i : i + 1])).tobytes() == vals[i : i + 1].tobytes()
+
+
+# one plan per order 1-8 in the interval the rules allow for it; order 8 is the known failure
+PLANS = [(-1.3,), (1.7, 2.2), (0.6, 0.9, 1.3), (0.6, 0.8, 1.1, 1.4), (-4.0, -3.0, -1.9, -0.8, 0.2),
+         (2.6, 2.75, 2.9, 3.0, 3.2, 3.4), (-5.0, -4.2, -3.1, -2.0, -1.1, -0.4, 0.3), KNOWN_FAILURE]
+
+
+@pytest.mark.parametrize("eps", PLANS)
+def test_seed_table_reads_match_the_determinant_formulas(eps):
+    # states W(u_1..u_k, psi)/W and candidates W(minor_j)/W as (k +- 1)-row determinants over W's,
+    # against the table's solves; both read one seed table, so only the rounding of the two
+    # eliminations differs, amplified by W's conditioning.  Up to x = 5 the known failure's
+    # determinants are themselves ~1e-9 off mpmath, so it is held to 1e-10 up to x = 4 only.
+    k = len(eps)
+    x = Grid().closed_points
+    t = SeedTable(make_plan(eps).partner(), x[x <= (4.0 if eps == KNOWN_FAILURE else 5.0)])
+    pairs = []
+    for s in (BaseState(b, n) for b in ("odd", "even") for n in range(4)):
+        if s.energy in eps:
+            continue
+        column = s.scaled_derivatives(t.x, k, dtype=WORK_DTYPE)[:, None]
+        s_num, l_num = sign_log_det_orders(np.concatenate([t.table[: k + 1], column], axis=1),
+                                           list(range(k + 1)))
+        scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
+        pairs.append((t.state(s), s_num * t.sw * np.exp(l_num - t.lw - t.half_x2 - scale)))
+    for j in range(1, k + 1):
+        minor = [i for i in range(k) if i != j - 1]
+        s_num, l_num = sign_log_det_orders(t.table[:, minor], list(range(k - 1)))
+        pairs.append((t.added(j), s_num * t.sw * np.exp(l_num - t.lw + t.half_x2)))
+    for got, want in pairs:
+        want = np.asarray(want, dtype=float)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_known_failure_validates_with_no_wronskian_zeros():
+    # the sign of W on the default grid stays clear of rounding noise for this plan
+    assert validate(make_plan(KNOWN_FAILURE), Grid()).wronskian_zeros == []
 
 
 @pytest.mark.parametrize("n", [599, 600, 4000, 8001])
