@@ -210,6 +210,15 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
 
     p, xs = plan.partner(), grid.points
     states = []  # (energy, normalized state function) of every state in states.csv
+    tables = {}  # the residuals' point sets, each evaluated once for Vt and every state
+
+    def seed_table(x):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if key not in tables:
+            tables[key] = SeedTable(p, x)
+        return tables[key]
+
     if command == "spectrum":
         # spectrum needs only Vt: it evaluates the seeds on grid.closed_points and holds no table
         vt = partner_v(p, grid.closed_points)[1:-1]
@@ -228,7 +237,7 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
             vals = read(on_grid)
             scale = normalize(vals, grid)
             columns.append(scale * vals[1:-1])
-            states.append((energy, lambda x, read=read, scale=scale: scale * read(SeedTable(p, x))))
+            states.append((energy, lambda x, read=read, scale=scale: scale * read(seed_table(x))))
         _write_csv(out / "states.csv", ["x"] + [f"E={_fmt(e)}" for e, _ in states], columns)
 
     predicted = sorted(e for e, _ in states)
@@ -237,7 +246,8 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
     oracle_levels = eigenvalues_low(discretize(vt, grid), count)
     if command == "run":
         sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)
-        payload["residuals"] = {f"E={_fmt(e)}": residual(lambda x: partner_v(p, x), f, e, sample)
+        payload["residuals"] = {f"E={_fmt(e)}": residual(lambda x: seed_table(x).potential(), f, e,
+                                                         sample)
                                 for e, f in states}
     payload["oracle"] = {
         "eigenvalues": oracle_levels,

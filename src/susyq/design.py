@@ -233,9 +233,10 @@ def boundary_check(f) -> str:
 
     Probing is behavioral on purpose: user-chosen parities can produce even
     candidates that nevertheless vanish at 0 for isolated energies, and a
-    decay test handles those uniformly.
+    decay test handles those uniformly.  f is called once, on the array of
+    PROBE_POINTS, and returns the values there.
     """
-    vals = [abs(float(np.asarray(f(x)))) for x in PROBE_POINTS]
+    vals = np.abs(np.asarray(f(np.array(PROBE_POINTS)), dtype=float)).tolist()
     ok = all(
         later <= earlier / DECADE_DECAY_FACTOR
         for earlier, later in zip(vals, vals[1:])

@@ -11,17 +11,18 @@ eigenfunctions use the Crum representation
 
 and added-state candidates are ratios of a one-seed-deleted Wronskian to
 the full one.  The partner, all states and all candidates on one point
-array share one evaluation of the seeds (SeedTable), which also holds the
-LU of W's matrix M (rows: orders 0..k-1, columns: seeds).  Both ratios are
-read from it by triangular solves, with no determinant of their own:
+array share one evaluation of the seeds (SeedTable), in the Kummer frame of
+the seeds module, which also holds the LU of W's matrix M (rows: orders
+0..k-1, columns: seeds).  All three are read from it by triangular solves,
+with no determinant of their own:
 
     W(u_1..u_k, psi) / W = psi^(k) - r M^{-1} c      (c: psi's orders 0..k-1,
                                                       r: the seeds' order k)
     W(minor_j) / W = (-1)^(k+j) (M^{-1})_{j,k}       (one solve for every j)
+    (ln W)'' = k + r_{k+1} y - r_k y' - (r_k y)^2     (y = M^{-1} e_k, y' = M^{-1} e_{k-1})
 
-The partner potential stays on the exponent-tracked determinants of
-(ln W)'' in the wronskian module, so that its rounding, which the
-eigenvalue oracle sees, is that of the determinants alone.
+In the Kummer frame a base state's column is (-1)^n c H_{m+n}(x) (Rodrigues'
+formula), and the solve against e_k serves the potential and every candidate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
 from .wronskian import (WORK_DTYPE, WronskianLU, log_w_second_deriv, log_w_second_deriv_stack,
-                        scaled_stack)
+                        scaled_stack, unit_rhs)
 from .wronskian import sign_log_det_orders  # noqa: F401 (perfbench/tracing.py patches it)
 
 
@@ -98,6 +99,21 @@ class BaseState:
         v0, v1 = self.scaled_first_two(x, dtype=dtype)
         return derivative_table(v0, v1, self.energy, x, max_order, dtype=dtype)
 
+    def kummer_frame(self, x, max_order, dtype=np.float64):
+        """Orders 0..max_order of (psi e^{-x^2/2}) e^{+x^2}, the seeds' Kummer frame.
+
+        psi e^{-x^2/2} = c H_m e^{-x^2}, and by Rodrigues' formula its n-th
+        derivative is (-1)^n c H_{m+n} e^{-x^2}: the column is (-1)^n c H_{m+n}(x).
+        """
+        x = np.asarray(x, dtype=dtype)
+        h, h_prev = self._hermite_pair(x, dtype)
+        rows = [h]
+        for m in range(self.hermite_index, self.hermite_index + max_order):
+            h, h_prev = 2 * x * h - 2 * m * h_prev, h
+            rows.append(h)
+        c = dtype(self.norm_constant)
+        return np.array([(-c if n % 2 else c) * row for n, row in enumerate(rows)])
+
 
 def base_state_value(s: BaseState, x):
     """Normalized value of psi_n or chi_n on [0, infinity)."""
@@ -148,7 +164,7 @@ def added_state(p: PartnerPotential, j: int, x):
 
 
 class SeedTable:
-    """The k seeds of partner p, evaluated once on the points x: orders 0..k+1 and W's LU, sign and log.
+    """The k seeds of partner p, evaluated once on the points x: Kummer-frame orders 0..k+1 and W's LU.
 
     The partner potential, states and candidates on x are read from it; reads leave it unchanged.
     """
@@ -160,14 +176,15 @@ class SeedTable:
             self.table = scaled_stack(p.seeds, self.x, p.order + 1)
             self.lu = WronskianLU(self.table)
             self.sw, self.lw = self.lu.sign, self.lu.log
-        self._candidates = None
+        self._last = None  # M^-1 e_k, shared by the potential and every candidate
 
     def potential(self):
         """partner_v(p, x)."""
         v = truncated_oscillator_v(self.x)
         if not self.p.order:
             return v
-        return v - log_w_second_deriv_stack(self.table, self.sw, self.lw, self.x)
+        # the e_k solve is shared when a candidate read has made it; W is checked first either way
+        return v - log_w_second_deriv_stack(self.table, self.lu, self.x, self._last)
 
     def state(self, s: BaseState):
         """transformed_eigenfunction(p, s, x)."""
@@ -178,7 +195,7 @@ class SeedTable:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
             )
-        column = s.scaled_derivatives(self.x, k, dtype=WORK_DTYPE)
+        column = s.kummer_frame(self.x, k, dtype=WORK_DTYPE)
         # W(u, psi)/W is the Schur complement psi^(k) - r M^-1 c of W's matrix M in the
         # numerator's, with c = psi's orders 0..k-1 and r = the seeds' order-k row
         ratio = column[k].copy()
@@ -194,13 +211,11 @@ class SeedTable:
         k = self.p.order
         if not 1 <= j <= k:
             raise IndexError(f"seed index {j} outside 1..{k}")
-        if self._candidates is None:
-            # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
-            # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
-            e_k = np.zeros((k,) + self.x.shape, dtype=WORK_DTYPE)
-            e_k[k - 1] = 1
-            self._candidates = self._solve(e_k) * np.exp(self.half_x2)
-        return _as_float((-1) ** (k + j) * self._candidates[j - 1])
+        # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
+        # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
+        if self._last is None:
+            self._last = self._solve(unit_rhs(k, k, self.x.shape))
+        return _as_float((-1) ** (k + j) * self._last[j - 1] * np.exp(self.half_x2))
 
     def _solve(self, b):
         """M^{-1} b from W's LU; raises where W vanishes on x."""

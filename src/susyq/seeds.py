@@ -8,32 +8,47 @@ A seed at factorization energy eps (units hbar = omega = 1) is
 It solves u'' = (x^2 - 2*eps) u on x > 0 but is not required to satisfy
 boundary conditions.  b2 = 0 gives the even branch, b1 = 0 the odd one.
 
-All evaluation here works with Gaussian-stripped values
+Seed tables, for the Wronskians, hold the Kummer frame
 
-    v_n(x) = u^{(n)}(x) * e^{+x^2/2}
+    N_n(x) = h^{(n)}(x) * e^{+x^2},   h = u e^{-x^2/2} = b1 F_e(x^2) + b2 x F_o(x^2),
 
-so that Wronskian code can track the overall e^{-k x^2/2} exponent
-analytically.  Derivatives of order >= 2 come from the ODE itself via the
-Leibniz-expanded recurrence
+with F(z) = e^{-z} 1F1(a, b; z) = 1F1(b-a, b; -z) on each branch (Kummer's
+transformation).  h is algebraic at large x, so the orders of a seed shrink
+like x^{-n} at most, where in the plain frame v_n = u^{(n)} e^{+x^2/2} every
+order grows like (2x)^n v_0 and W's matrix becomes nearly rank one.  Since
+F^{(m)}(z) = (-1)^m (b-a)_m / (b)_m e^{-z} 1F1(a, b+m; z), every N_n is a
+finite sum of 1F1(a, b+m; x^2) times powers of 2x (Faa di Bruno), and e^{-z}
+is never formed.  The rows 1F1(a, b+m), m = 0..top, come from one series,
+1F1(a, b+top) and its z-derivative, and the backward contiguous recurrence
+in b.  The determinant over orders 0..k-1 is the same in both frames: the
+map between their rows is unit lower triangular.
+
+The single-seed reads (scaled_first_two, scaled_derivatives, seed_value,
+seed_derivs) return the plain frame: v_0 = N_0, v_1 = N_1 + x N_0, and
+higher orders from the ODE itself via the Leibniz-expanded recurrence
 
     u^{(n+2)} = (x^2 - 2*eps) u^{(n)} + 2 n x u^{(n-1)} + n (n-1) u^{(n-2)}
 
 which holds verbatim for the stripped values v_n as well.
 
-A set of seeds is evaluated together (first_two, derivatives): every 1F1
-series of the set runs in one kummer_m call, and a lone seed is a set of
-one, so it gets the same values, bitwise, as inside any set.
+A set of seeds is evaluated together (kummer_frame): every 1F1 series of
+the set runs in one kummer_m call, every step after it is elementwise over
+the points, and a lone seed is a set of one, so it gets the same values,
+bitwise, as inside any set and any batch of points.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .kummer import kummer_m, kummer_m_deriv  # noqa: F401 (perfbench/tracing.py patches it)
+from .kummer import b_ladder, kummer_m
+from .kummer import kummer_m_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 
 
 class Parity(enum.IntEnum):
@@ -96,45 +111,79 @@ class SeedSolution:
 
     def scaled_first_two(self, x, dtype=np.float64):
         """(v0, v1) = (u e^{x^2/2}, u' e^{x^2/2}) at x (scalar or array), x >= 0."""
-        v0, v1 = first_two((self,), x, dtype=dtype)
-        return v0[0], v1[0]
+        v0, v1 = derivatives((self,), x, 1, dtype=dtype)[:, 0]
+        return v0, v1
 
     def scaled_derivatives(self, x, max_order, dtype=np.float64):
         return derivatives((self,), x, max_order, dtype=dtype)[:, 0]
 
 
-def first_two(seeds, x, dtype=np.float64):
-    """(v0, v1) of every seed at x >= 0, each of shape (len(seeds),) + x.shape.
+def derivatives(seeds, x, max_order, dtype=np.float64):
+    """[v_0 .. v_max_order] of every seed, shape (max_order + 1, len(seeds)) + x.shape.
 
-    One kummer_m call sums M = 1F1(a, b; x^2) and M(a+1, b+1) for each branch
-    a seed uses (even: b = 1/2, odd: b = 3/2); M' = (a/b) M(a+1, b+1).
+    v_0 = N_0 and v_1 = N_1 + x N_0 come from the Kummer frame, the higher
+    orders from the ODE recurrence.
     """
     x = np.asarray(x, dtype=dtype)
+    n0, n1 = kummer_frame(seeds, x, 1, dtype=dtype)
+    eps = np.array([s.epsilon for s in seeds]).reshape((-1,) + (1,) * x.ndim)
+    return derivative_table(n0, n1 + x * n0, eps, x, max_order, dtype=dtype)
+
+
+def kummer_frame(seeds, x, max_order, dtype=np.float64):
+    """[N_0 .. N_max_order] of every seed, N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}.
+
+    Shape (max_order + 1, len(seeds)) + x.shape, at x >= 0.  One kummer_m call
+    sums, for each branch a seed uses (even: b = 1/2, odd: b = 3/2), M(a, B)
+    and z M'(a, B) at B = b + max_order; the rest is elementwise arithmetic
+    on one (orders, branches, points) array, a few numpy calls per order.
+    """
+    top = max_order
+    x = np.asarray(x, dtype=dtype)
+    shape, x = x.shape, x.ravel()
     z = x * x
-    # one row per branch in use, (seed, coefficient, a, b), the even branches first
-    rows = [(i, s.b1, s.a_even, 0.5) for i, s in enumerate(seeds) if s.b1 != 0]
-    even, odd = slice(len(rows)), slice(len(rows), None)
-    rows += [(i, s.b2, s.a_odd, 1.5) for i, s in enumerate(seeds) if s.b2 != 0]
+    # one row per branch in use, (seed, coefficient, a, b), in seed order, even before odd
+    rows = [r for i, s in enumerate(seeds)
+            for r in ((i, s.b1, s.a_even, 0.5), (i, s.b2, s.a_odd, 1.5)) if r[1] != 0]
     idx, c, a, b = (np.array(column) for column in zip(*rows))
-    m_all = kummer_m(np.concatenate([a, a + 1]), np.concatenate([b, b + 1]), z, dtype=dtype)
-    per_row = (-1,) + (1,) * x.ndim  # a row's scalar against the points
-    m = m_all[: a.size]
-    mp = (a.astype(dtype) / b.astype(dtype)).reshape(per_row) * m_all[a.size :]
-    c = c.reshape(per_row)
-    v0 = np.zeros((len(seeds),) + x.shape, dtype=dtype)
-    v1 = np.zeros_like(v0)
-    v0[idx[even]] += c[even] * m[even]
-    v1[idx[even]] += c[even] * (2 * x * mp[even] - x * m[even])
-    v0[idx[odd]] += c[odd] * x * m[odd]
-    v1[idx[odd]] += c[odd] * (m[odd] + 2 * z * mp[odd] - z * m[odd])
-    return v0, v1
+    odd = b == 1.5
+    a, b = a.astype(dtype)[:, None], b.astype(dtype)[:, None]  # a row's scalars against the points
+    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True)
+    table = b_ladder(a, b, z, m_top, zm_top, top)  # M(a, b + m), m = 0..top
+    # G_m = e^{+z} d^m/dz^m F, F(z) = e^{-z} M(a, b, z) = M(b - a, b, -z) (Kummer's transformation):
+    #   G_m = (-1)^m (b - a)_m / (b)_m M(a, b + m, z), times the branch's coefficient in the seed
+    orders = np.arange(top)[:, None, None]
+    steps = np.concatenate([c.astype(dtype)[None, :, None], (a - b - orders) / (b + orders)])
+    table *= np.cumprod(steps, axis=0)
+    # Faa di Bruno: d^n/dx^n F(x^2) = sum_i n!/(i!(n-2i)!) (2x)^(n-2i) F^(n-i)(x^2).  By decreasing
+    # m = n - i, G_m first adds its terms to the orders n in (m, 2m], then becomes order m's own
+    # first term (2x)^m G_m; no G is read after its slot is overwritten
+    powers = np.empty((top + 1, x.size), dtype=dtype)
+    powers[0], powers[1:] = 1, 2 * x
+    np.cumprod(powers, axis=0, out=powers)  # (2x)^p
+    for m in range(top, 0, -1):
+        hi = min(2 * m, top)
+        if hi > m:  # orders n = m+1..hi, with powers 2m - n = m-1..2m-hi
+            weights = np.array(_faa_di_bruno(m)[: hi - m], dtype=dtype)[:, None]
+            table[m + 1 : hi + 1] += (weights * powers[2 * m - hi : m][::-1])[:, None] * table[m]
+        table[m] *= powers[m]
+    # odd branches are x F(x^2): d^n/dx^n [x F(x^2)] = x F^[n] + n F^[n-1], F^[n] = d^n/dx^n F(x^2)
+    odd = odd[:, None]
+    shifted = table[:-1] * (np.arange(1, top + 1)[:, None, None] * odd)
+    table *= np.where(odd, x, dtype(1))
+    table[1:] += shifted
+    if len(rows) == len(seeds):  # one branch per seed: the rows are the seeds, with no copy
+        return table.reshape((top + 1, len(seeds)) + shape)
+    out = np.zeros((top + 1, len(seeds), x.size), dtype=dtype)
+    np.add.at(out, (slice(None), idx), table)  # a mixed seed's even row, then its odd row
+    return out.reshape((top + 1, len(seeds)) + shape)
 
 
-def derivatives(seeds, x, max_order, dtype=np.float64):
-    """[v_0 .. v_max_order] of every seed, shape (max_order + 1, len(seeds)) + x.shape."""
-    v0, v1 = first_two(seeds, x, dtype=dtype)
-    eps = np.array([s.epsilon for s in seeds]).reshape((-1,) + (1,) * np.ndim(x))
-    return derivative_table(v0, v1, eps, x, max_order, dtype=dtype)
+@functools.cache
+def _faa_di_bruno(m):
+    """n!/(i!(n-2i)!) with i = n - m, for n = m+1..2m: G_m's weights in the orders above m."""
+    return tuple(math.factorial(n) // (math.factorial(n - m) * math.factorial(2 * m - n))
+                 for n in range(m + 1, 2 * m + 1))
 
 
 def make_seed(epsilon: float, parity: Parity) -> SeedSolution:

@@ -2,29 +2,33 @@
 
 Each seed carries a factor e^{-x^2/2}, so a k-seed Wronskian carries
 e^{-k x^2/2}; at x = 10, k = 8 that is already e^{-400}.  All determinants
-are therefore evaluated on Gaussian-stripped derivative tables and kept in
+are therefore evaluated on Gaussian-stripped tables and kept in
 (sign, log|det|) form, with the stripped exponent restored only where it
 does not cancel.
 
-W' and W'' are themselves determinants with shifted derivative orders:
+Seed tables are in the Kummer frame N_n = h^{(n)} e^{+x^2}, h = u e^{-x^2/2}
+(see seeds).  The determinant over orders 0..k-1 is e^{+k x^2/2} W(u) there
+as in the plain frame v_n = u^{(n)} e^{+x^2/2}, and so are the bordered and
+minor determinants of the states and candidates, so every Gaussian exponent
+is unchanged.  But W's matrix stays well conditioned at large x, where the
+plain frame's rows grow like (2x)^n and make it nearly rank one.
 
-    W  = det(orders 0..k-1)
-    W' = det(orders 0..k-2, k)
-    W'' = det(orders 0..k-3, k-1, k) + det(orders 0..k-2, k+1)
+The partner potential needs (ln W(u))'' = k + (ln W(h))''.  W(h)' and W(h)''
+are determinants with shifted orders, and each is W times a read of one LU
+of W's matrix M (rows r_0..r_{k-1}, the Kummer-frame orders): replacing M's
+last row by r_k gives W(h)'/W(h) = r_k y with y = M^{-1} e_k, and
+W(h)''/W(h) = r_{k+1} y - r_k y', y' = M^{-1} e_{k-1}, the second term from
+replacing the last two rows by r_{k-1}, r_k.  So
 
-so (ln W)'' = W''/W - (W'/W)^2 needs no numerical differentiation.
+    (ln W(u))'' = k + r_{k+1} y - r_k y' - (r_k y)^2
 
-The elimination kernel runs in extended precision (numpy longdouble) by
-default: the W''/W ratio sits under a (W'/W)^2 ~ (2kx)^2 subtraction, and
-plain float64 LU leaves ~1e-7 noise in the partner potential at x ~ 6,
-an order above what the closed-form checks allow.
+with no numerical differentiation and no elimination beyond W's own.  The
+elimination kernel runs in extended precision (numpy longdouble); it also
+returns its factors, and WronskianLU keeps those of M for these solves and
+for partner.SeedTable's states and candidates.
 
-The kernel also returns its LU factors, and WronskianLU keeps those of W's
-matrix M for later triangular solves: every ratio of a bordered or minor
-determinant to W is then O(k^2) per point instead of a fresh elimination
-(see partner.SeedTable).  (ln W)'' stays on its three determinants: solves
-would move the partner potential's rounding, in both directions against
-mpmath, and the potential is what the eigenvalue oracle reads.
+det_orders takes any increasing orders, so beyond W's own it works on the
+plain frame, whose shifted-order determinants are the derivatives of W(u).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError, SingularWronskianError
 from .seeds import derivatives as seed_derivatives
+from .seeds import kummer_frame
 
 WORK_DTYPE = np.longdouble
 
@@ -139,11 +144,12 @@ def _check_domain(x):
 
 
 def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
-    """Derivative table of shape (max_order+1, len(seeds)) + x.shape, Gaussian stripped.
+    """Kummer-frame table N_n = h^(n) e^{+x^2}, h = u e^{-x^2/2}, n = 0..max_order.
 
-    All seeds come from one batched evaluation, a single kummer_m call.
+    Shape (max_order+1, len(seeds)) + x.shape.  All seeds come from one
+    batched evaluation, a single kummer_m call.
     """
-    return seed_derivatives(seeds, x, max_order, dtype=dtype)
+    return kummer_frame(seeds, x, max_order, dtype=dtype)
 
 
 def sign_log_det_orders(stack, orders):
@@ -164,10 +170,19 @@ def sign_log_det_orders(stack, orders):
 
 
 def det_orders(seeds, orders, x):
-    """Determinant with rows u_j^{(orders[i])}(x), Gaussian factor included."""
+    """Determinant with rows u_j^{(orders[i])}(x), Gaussian factor included.
+
+    W itself (orders 0..k-1) is taken over the Kummer frame, which has the
+    same determinant and keeps it well conditioned at large x; any other
+    orders over the seeds' own (Gaussian-stripped) derivatives.
+    """
     x = _check_domain(x)
-    stack = scaled_stack(seeds, x, max(orders, default=0))
-    sign, logd = sign_log_det_orders(stack, list(orders))
+    orders = list(orders)
+    if orders == list(range(len(seeds))):
+        stack = scaled_stack(seeds, x, max(orders, default=0))
+    else:
+        stack = seed_derivatives(seeds, x, max(orders, default=0), dtype=WORK_DTYPE)
+    sign, logd = sign_log_det_orders(stack, orders)
     k = len(seeds)
     val = sign * np.exp(logd - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2)
     val = np.asarray(val, dtype=float)
@@ -191,34 +206,52 @@ def wronskian_minor(seeds, j: int, x):
     return wronskian([s for i, s in enumerate(seeds, start=1) if i != j], x)
 
 
-def log_w_second_deriv_stack(stack, sw, lw, x):
-    """(ln W)'' on x from a stack holding orders 0..k+1 of k functions and W's sign and log there.
+def log_w_second_deriv_stack(stack, lu, x, last=None):
+    """(ln W)'' on x from a Kummer-frame stack (orders 0..k+1 of k seeds) and W's factors lu there.
+
+    With y = M^-1 e_k (last, when the caller holds it) and y' = M^-1 e_{k-1}
+    against W's matrix M, and r_n the stack's order-n row:
+
+        (ln W)'' = k + r_{k+1} y - r_k y' - (r_k y)^2
 
     Raises SingularWronskianError where W vanishes or |W| falls below SINGULAR_FLOOR.
     """
     k = stack.shape[1]
-    true_log = lw - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
-    bad = (sw == 0) | (true_log < np.log(SINGULAR_FLOOR))
+    true_log = lu.log - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
+    bad = (lu.sign == 0) | (true_log < np.log(SINGULAR_FLOOR))
     if np.any(bad):
         where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
         raise SingularWronskianError(f"Wronskian vanishes near x = {where}")
-    sw1, lw1 = sign_log_det_orders(stack, list(range(k - 1)) + [k])
-    sb, lb = sign_log_det_orders(stack, list(range(k - 1)) + [k + 1])
-    r1 = sw1 * sw * np.exp(lw1 - lw)
-    r2 = sb * sw * np.exp(lb - lw)
-    if k >= 2:
-        sa, la = sign_log_det_orders(stack, list(range(k - 2)) + [k - 1, k])
-        r2 = r2 + sa * sw * np.exp(la - lw)
-    result = np.asarray(r2 - r1 * r1, dtype=float)
+    if last is None:
+        last = lu.solve(unit_rhs(k, k, np.shape(x)))
+    w1 = _dot(stack[k], last)  # W'/W in the Kummer frame
+    w2 = _dot(stack[k + 1], last)  # W''/W: one bordered determinant ...
+    if k >= 2:  # ... and, replacing two rows, -r_k y'
+        w2 -= _dot(stack[k], lu.solve(unit_rhs(k, k - 1, np.shape(x))))
+    result = np.asarray(k + w2 - w1 * w1, dtype=float)
     return float(result) if result.ndim == 0 else result
 
 
+def unit_rhs(k, j, shape):
+    """e_j (1-based) at every point: shape (k,) + shape, in WORK_DTYPE."""
+    e = np.zeros((k,) + shape, dtype=WORK_DTYPE)
+    e[j - 1] = 1
+    return e
+
+
+def _dot(row, y):
+    """sum_j row[j] y[j] at every point, in increasing j, so no value depends on its batch."""
+    total = row[0] * y[0]
+    for r_j, y_j in zip(row[1:], y[1:]):
+        total = total + r_j * y_j
+    return total
+
+
 def log_w_second_deriv(seeds, x):
-    """(d^2/dx^2) ln|W(u_1, ..., u_k)| evaluated analytically."""
+    """(d^2/dx^2) ln|W(u_1, ..., u_k)| evaluated analytically; W is factored once, nothing is kept."""
     x = _check_domain(x)
     k = len(seeds)
     if k == 0:
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
     stack = scaled_stack(seeds, x, k + 1)
-    sw, lw = sign_log_det_orders(stack, list(range(k)))
-    return log_w_second_deriv_stack(stack, sw, lw, x)
+    return log_w_second_deriv_stack(stack, WronskianLU(stack), x)

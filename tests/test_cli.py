@@ -247,14 +247,17 @@ def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
 def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, monkeypatch):
     # the scan, the candidates, potential.csv, the oracle and every state of run
     # read one batched evaluation of the k seeds on grid.closed_points (n + 2 points);
-    # nothing evaluates them on grid.points (n points)
-    evaluated, batch = [], seeds.first_two
+    # nothing evaluates them on grid.points (n points).  The residuals read one more
+    # on their 8 sample points (Vt) and one on their 5 x 8 stencil points (every state)
+    evaluated, batch = [], seeds.kummer_frame
 
-    def counted(batch_seeds, x, dtype=np.float64):
+    def counted(batch_seeds, x, max_order, dtype=np.float64):
         evaluated.extend((u, np.size(x)) for u in batch_seeds)
-        return batch(batch_seeds, x, dtype=dtype)
+        return batch(batch_seeds, x, max_order, dtype=dtype)
 
-    monkeypatch.setattr(seeds, "first_two", counted)
+    # tables reach the seeds through wronskian.scaled_stack, single seeds through seeds.derivatives
+    monkeypatch.setattr(seeds, "kummer_frame", counted)
+    monkeypatch.setattr(wronskian, "kummer_frame", counted)
     cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
     plan_seeds = make_plan(cfg.epsilons).seeds()
     for command in ("run", "spectrum"):
@@ -263,15 +266,18 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
         if command == "run":
             report = json.loads((tmp_path / "report.json").read_text())
             assert len(report["predicted_added"]) == 2
-        on_closed = [u for u, size in evaluated if size == cfg.grid_n + 2]
-        assert sorted(on_closed, key=plan_seeds.index) == list(plan_seeds)
+            assert len(report["residuals"]) == cli.N_ISO_STATES + 2
+        for size in (cfg.grid_n + 2,) + ((8, 5 * 8) if command == "run" else ()):
+            on_points = [u for u, n in evaluated if n == size]
+            assert sorted(on_points, key=plan_seeds.index) == list(plan_seeds)
         assert not [u for u, size in evaluated if size == cfg.grid_n]
 
 
 def test_run_reads_states_and_candidates_by_solves_against_one_lu(tmp_path, monkeypatch):
-    # on grid.closed_points: one solve against e_k for every candidate, read by validate's
-    # normalizability check and by states.csv, one solve per state, and W's k x k matrix
-    # as the only matrix size eliminated there (no (k + 1) numerator, no (k - 1) minor)
+    # on grid.closed_points: one solve against e_k, read by Vt and by every candidate in
+    # validate's normalizability check and in states.csv, one against e_{k-1} for Vt, one
+    # solve per state, and W's k x k matrix as the only matrix eliminated there (no
+    # (k + 1) numerator, no (k - 1) minor, no shifted determinant of Vt)
     solves, sizes = [], []
     solve, lu_batch = wronskian.WronskianLU.solve, wronskian._lu_batch
 
@@ -290,10 +296,38 @@ def test_run_reads_states_and_candidates_by_solves_against_one_lu(tmp_path, monk
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["predicted_added"]) == 2
     on_grid = [b for b in solves if b.shape == (4, cfg.grid_n + 2)]
-    e_k = [b for b in on_grid if np.all(b[:-1] == 0) and np.all(b[-1] == 1)]
-    assert len(e_k) == 1
-    assert len(on_grid) == 1 + cli.N_ISO_STATES
-    assert {k for k, npts in sizes if npts == cfg.grid_n + 2} == {4}
+    unit = [np.flatnonzero(b[:, 0]) for b in on_grid
+            if np.all(b[:, :1] == b) and np.sum(b[:, 0]) == 1 and np.all(b[:, 0] >= 0)]
+    assert sorted(int(j[0]) for j in unit) == [2, 3]  # e_{k-1} and e_k, 0-based
+    assert len(on_grid) == 2 + cli.N_ISO_STATES
+    assert [k for k, npts in sizes if npts == cfg.grid_n + 2] == [4]
+
+
+# order-8 and order-6 class-B plans whose partners lost their digits at large x in the plain
+# frame: the oracle then found a level off by 0.099 and an extra level at 1.263 (order 8), and
+# an extra level at 1.324 (order 6), and run exited 3
+@pytest.mark.parametrize("eps", [(0.616, 0.805, 0.92, 1.124, 1.215, 1.233, 1.4, 1.405),
+                                 (0.61, 0.88, 0.987, 1.212, 1.318, 1.422)])
+def test_run_confirms_plans_that_need_the_whole_grid(tmp_path, eps):
+    cfg = PlanConfig(order=len(eps), epsilons=list(eps), output_dir=tmp_path)
+    assert run(cfg) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    levels = [c for c in report["checks"] if c["rule"] == "oracle.level"]
+    assert len(levels) == cli.N_ISO_STATES + len(eps) // 2
+    assert all(abs(c["observed"] - c["expected"]) <= cli.SPECTRUM_TOL for c in levels)
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_validate_reports_only_the_genuine_wronskian_zero(tmp_path):
+    # energies above 3/2 and about 0.03 apart: in the plain frame W's sign flipped 262 times on
+    # the default grid, 261 of them rounding noise beyond x = 8.  mpmath puts the one zero at
+    # 0.7804239060 (40 digits)
+    eps = [1.852, 2.027, 2.051, 2.17, 2.217, 2.253, 2.422]
+    cfg = PlanConfig(order=7, epsilons=eps, output_dir=tmp_path)
+    assert run(cfg, "validate") == EXIT_VIOLATIONS  # odd order above 3/2
+    zeros = json.loads((tmp_path / "report.json").read_text())["validation"]["wronskian_zeros"]
+    assert len(zeros) == 1
+    assert abs(zeros[0] - 0.7804239060) <= 1e-6
 
 
 @pytest.mark.parametrize("grid_n", [600, 4000])

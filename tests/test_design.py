@@ -176,6 +176,25 @@ def test_boundary_check_examples():
     assert boundary_check(lambda x: added_state(make_plan(DEEP_EPS).partner(), 1, x)) == "nonphysical"
 
 
+def test_boundary_check_probes_every_point_in_one_call():
+    # each value depends on its own point alone, so one call on the probe array gives the
+    # values, and hence the verdicts, of one call per probe point
+    from susyq.partner import added_state
+
+    p = make_plan(DEEP_EPS).partner()
+    for j, verdict in ((2, "physical"), (1, "nonphysical")):
+        calls = []
+
+        def f(x, j=j):
+            calls.append(np.shape(x))
+            return added_state(p, j, x)
+
+        assert boundary_check(f) == verdict
+        assert calls == [(len(design.PROBE_POINTS),)]
+        alone = [added_state(p, j, x) for x in design.PROBE_POINTS]
+        assert f(np.array(design.PROBE_POINTS)).tolist() == alone
+
+
 def test_validate_deep_class_a():
     report = validate(make_plan(DEEP_EPS), SMALL_GRID)
     assert report.ok

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyq.errors import InvalidParameterError
-from susyq.kummer import kummer_m, kummer_m_deriv
+from susyq.kummer import b_ladder, kummer_m, kummer_m_deriv
 from susyq.oracle import Grid
 
 
@@ -136,3 +136,40 @@ def test_point_alone_equals_the_point_in_a_grid_batch():
     rows = kummer_m(np.array([0.3, -2.7, 1.3]), np.array([0.5, 1.5, 1.5]), z)
     assert rows.shape == (3, z.size)
     assert rows[1].tobytes() == kummer_m(-2.7, 1.5, z).tobytes()
+
+
+def _ld_mpf(mpmath, v):
+    """A longdouble as an exact mpmath number."""
+    n, d = np.longdouble(v).as_integer_ratio()
+    return mpmath.mpf(n) / d
+
+
+@pytest.mark.parametrize("a", [-1.05, -0.85, 0.0475, 1.2, 3.25])
+def test_fused_series_and_b_ladder_match_mpmath(a, monkeypatch):
+    # one term loop gives M and z M' at the top of the ladder; the backward recurrence in b
+    # gives every M(a, b + m) below it.  Relative to mpmath at 40 digits, in longdouble
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    z = np.array([1e-8, 0.01, 0.7, 6.25, 30.0, 64.0, 99.8, 100.0])
+    for b, top in ((0.5, 9), (1.5, 5), (0.5, 1)):
+        m, zm = kummer_m(a, b + top, z, dtype=np.longdouble, zderiv=True)
+        ladder = b_ladder(np.longdouble(a), np.longdouble(b), z.astype(np.longdouble), m, zm, top)
+        for i, zi in enumerate(z):
+            zi = mpmath.mpf(zi)
+            want_zm = zi * mpmath.diff(lambda t: mpmath.hyp1f1(a, b + top, t), zi)
+            assert abs(_ld_mpf(mpmath, zm[i]) - want_zm) <= 2e-17 * abs(want_zm)
+            for step in range(top + 1):
+                want = mpmath.hyp1f1(a, b + step, zi)
+                assert abs(_ld_mpf(mpmath, ladder[step, i]) - want) <= 2e-17 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_deriv_forms_the_shifted_parameters_exactly(n, monkeypatch):
+    # a + n rounded to float64 moves a longdouble result by ~5e-16 at (0.0475, 1/2, 99.85)
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    for a, b in ((0.0475, 0.5), (0.0475, 1.5), (-1.05, 0.5), (3.25, 1.5)):
+        for z in (0.3, 9.0, 50.0, 99.85):
+            got = kummer_m_deriv(a, b, z, n=n, dtype=np.longdouble)
+            want = mpmath.diff(lambda t: mpmath.hyp1f1(a, b, t), z, n)
+            assert abs(_ld_mpf(mpmath, got) - want) <= 1e-17 * abs(want)

@@ -18,7 +18,7 @@ from susyq.partner import (
     transformed_eigenfunction,
     truncated_oscillator_v,
 )
-from susyq.seeds import Parity, make_seed, seed_value
+from susyq.seeds import Parity, kummer_frame, make_seed, seed_value
 from susyq.wronskian import WORK_DTYPE, sign_log_det_orders
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
@@ -218,8 +218,8 @@ def test_seed_table_reads_are_pure(eps):
     p = make_plan(eps).partner()
     x = Grid(n=400).closed_points
     table = SeedTable(p, x)
-    # orders 0..k+1 of every seed: the states need 0..k, the potential k+1
-    seeds = np.stack([u.scaled_derivatives(x, len(eps) + 1, dtype=WORK_DTYPE) for u in p.seeds],
+    # Kummer-frame orders 0..k+1 of every seed: the states need 0..k, the potential k+1
+    seeds = np.stack([kummer_frame((u,), x, len(eps) + 1, dtype=WORK_DTYPE)[:, 0] for u in p.seeds],
                      axis=1)
     held = [a.copy() for a in (table.sw, table.lw)]
     reads = [(BaseState(b, n), table.state, transformed_eigenfunction)
@@ -277,7 +277,7 @@ def test_seed_table_reads_match_the_determinant_formulas(eps):
     for s in (BaseState(b, n) for b in ("odd", "even") for n in range(4)):
         if s.energy in eps:
             continue
-        column = s.scaled_derivatives(t.x, k, dtype=WORK_DTYPE)[:, None]
+        column = s.kummer_frame(t.x, k, dtype=WORK_DTYPE)[:, None]
         s_num, l_num = sign_log_det_orders(np.concatenate([t.table[: k + 1], column], axis=1),
                                            list(range(k + 1)))
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
@@ -305,3 +305,51 @@ def test_normalize_is_scipy_simpson_on_the_closed_grid(n):
     f = x * np.exp(-x * x / 2) * (1 + 0.5 * np.sin(3 * x))
     expected = 1 / math.sqrt(simpson(f * f, x=x))
     assert abs(normalize(f, grid) - expected) <= 1e-15 * expected
+
+
+def _mp_partner_v(mpmath, eps, parities, x):
+    """x^2/2 - W''/W + (W'/W)^2 from 40-digit determinants of the seeds' derivatives u^(n)."""
+    k, x = len(eps), mpmath.mpf(x)
+    z, g = x * x, mpmath.exp(-x * x / 2)
+    cols = []
+    for e, parity in zip(map(mpmath.mpf, eps), parities):
+        b = mpmath.mpf(1) / 2 if parity == 1 else mpmath.mpf(3) / 2
+        a = (2 * b - 2 * e) / 4
+        m, dm = mpmath.hyp1f1(a, b, z), a / b * mpmath.hyp1f1(a + 1, b + 1, z)
+        if parity == 1:
+            col = [g * m, g * x * (2 * dm - m)]
+        else:
+            col = [g * x * m, g * (m + 2 * z * dm - z * m)]
+        for n in range(k):  # u'' = (x^2 - 2e) u, differentiated n times
+            nxt = (z - 2 * e) * col[n] + (2 * n * x * col[n - 1] if n else 0)
+            col.append(nxt + (n * (n - 1) * col[n - 2] if n >= 2 else 0))
+        cols.append(col)
+
+    def det(orders):
+        return mpmath.det(mpmath.matrix([[c[o] for c in cols] for o in orders]))
+
+    w = det(range(k))
+    w1 = det(list(range(k - 1)) + [k])
+    w2 = det(list(range(k - 1)) + [k + 1]) + (det(list(range(k - 2)) + [k - 1, k]) if k >= 2 else 0)
+    return float(z / 2 - w2 / w + (w1 / w) ** 2)
+
+
+@pytest.mark.parametrize("eps, tol", [
+    ((0.6, 0.75, 0.9, 1.0, 1.2, 1.4), 1e-8),
+    ((0.61, 0.88, 0.987, 1.212, 1.318, 1.422), 1e-8),
+    ((2.6, 2.75, 2.9, 3.0, 3.2, 3.4), 1e-8),
+    ((1.6, 1.9, 2.1, 2.4), 1e-8),
+    ((-4.0, -3.0, -1.9, -0.8, 0.2), 1e-8),
+    ((0.6, 0.9, 1.3), 1e-8),
+    (KNOWN_FAILURE, 1e-5),  # order 8 with gaps of 0.018 and 0.005
+])
+def test_partner_matches_mpmath_on_the_whole_grid(eps, tol, monkeypatch):
+    # the Kummer-frame table keeps W's matrix well conditioned up to x_max: in the plain frame
+    # the first order-6 plan was off by 1.4e-2 at x = 6 and by 27 at x = 9.99
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    plan = make_plan(eps)
+    x = np.array([1e-4, 0.05, 1.3, 3.7, 6.0, 7.0, 8.0, 9.0, 9.99, 10.0])
+    got = partner_v(plan.partner(), x)
+    want = np.array([_mp_partner_v(mpmath, eps, [int(q) for q in plan.parities], xi) for xi in x])
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))

@@ -10,6 +10,7 @@ from susyq.seeds import (
     Parity,
     derivative_table,
     derivatives,
+    kummer_frame,
     make_seed,
     make_seed_general,
     seed_derivs,
@@ -146,3 +147,33 @@ def test_seed_point_alone_equals_the_point_in_a_grid_batch(seed):
     # a lone seed is the same evaluation as a seed inside a batch of seeds
     both = derivatives((make_seed(1.1, Parity.ODD), seed), x, 5)
     assert both[:, 1].tobytes() == batch.tobytes()
+    # and so is every point of a Kummer-frame table, in longdouble as the Wronskians use it
+    frame = kummer_frame((make_seed(1.1, Parity.ODD), seed), x, 9, dtype=np.longdouble)
+    for i in list(range(0, x.size, 211)) + [x.size - 1]:
+        alone = kummer_frame((seed,), x[i : i + 1], 9, dtype=np.longdouble)
+        # longdouble padding bytes are undefined, so the values compare, not the bytes
+        np.testing.assert_array_equal(alone, frame[:, 1:, i : i + 1])
+
+
+@pytest.mark.parametrize("seed", [make_seed(0.616, Parity.EVEN), make_seed(1.405, Parity.ODD),
+                                  make_seed(-4.2, Parity.EVEN), make_seed(2.27, Parity.ODD),
+                                  make_seed_general(0.9, 0.7, -1.3)])
+def test_kummer_frame_matches_mpmath(seed, monkeypatch):
+    # N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}, differentiated by mpmath at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    top = 7
+    x = np.array([0.05, 0.9, 3.0, 6.5, 9.99])
+    got = kummer_frame((seed,), x, top, dtype=np.longdouble)[:, 0]
+
+    def h(t):
+        m_e = mpmath.hyp1f1(mpmath.mpf(seed.a_even), 0.5, t * t)
+        m_o = mpmath.hyp1f1(mpmath.mpf(seed.a_odd), 1.5, t * t)
+        return mpmath.exp(-t * t) * (seed.b1 * m_e + seed.b2 * t * m_o)
+
+    for i, xi in enumerate(map(mpmath.mpf, x)):
+        want = [d * mpmath.exp(xi * xi) for d in mpmath.diffs(h, xi, top)]
+        scale = max(abs(w) for w in want)
+        for n in range(top + 1):
+            num, den = got[n, i].as_integer_ratio()
+            assert abs(mpmath.mpf(num) / den - want[n]) <= 1e-17 * scale

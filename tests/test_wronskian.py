@@ -154,3 +154,22 @@ def test_wronskian_antisymmetry_property(e1, de, x):
     w_ab = wronskian([a, b], x)
     w_ba = wronskian([b, a], x)
     assert w_ab == pytest.approx(-w_ba, rel=1e-10, abs=1e-280)
+
+
+def test_wronskian_keeps_its_digits_at_large_x(monkeypatch):
+    # order-6 class-B plan: over the seeds' own derivatives, whose rows grow like (2x)^n, W was
+    # 4e-6 off mpmath at x = 9.99; the Kummer frame has the same determinant, within 5e-12 there
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    eps = (0.6, 0.75, 0.9, 1.0, 1.2, 1.4)
+    seeds = [make_seed(e, ODD if i % 2 else EVEN) for i, e in enumerate(eps)]
+    for x in (0.3, 4.0, 8.0, 9.99):
+        t = mpmath.mpf(x)
+        cols = []
+        for u in seeds:
+            a, b = (u.a_even, 0.5) if u.parity is EVEN else (u.a_odd, 1.5)
+            f = (lambda t, a=a, b=b, p=u.parity: mpmath.exp(-t * t / 2) * (t if p is ODD else 1)
+                 * mpmath.hyp1f1(a, b, t * t))
+            cols.append(mpmath.diffs(f, t, len(eps) - 1))
+        want = mpmath.det(mpmath.matrix([list(c) for c in zip(*cols)]))
+        assert abs(wronskian(seeds, x) - want) <= 1e-10 * abs(want)
