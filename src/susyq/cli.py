@@ -208,7 +208,9 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
         if command == "validate" or not report.ok:
             return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
-    p, xs = plan.partner(), grid.points
+    # the partner object of validate's table, so that a run decides its table precision once
+    p = plan.partner() if command == "spectrum" else report.seed_table.p
+    xs = grid.points
     states = []  # (energy, normalized state function) of every state in states.csv
     tables = {}  # the residuals' point sets, each evaluated once for Vt and every state
 

@@ -216,6 +216,8 @@ def _wronskian_zeros(on_grid: SeedTable, grid: Grid):
     while np.any(hi - lo > 1e-10):
         active = hi - lo > 1e-10
         mid = 0.5 * (lo + hi)
+        # longdouble whatever on_grid's dtype: near a zero of W a float64 table's error can grow
+        # where the probe that chose the dtype does not look, and the zeros keep their bits
         s_mid, _ = sign_log_det_orders(scaled_stack(seeds, mid, k - 1), list(range(k)))
         # an exact zero at mid closes its bracket there
         lo = np.where(active & ((s_mid == s_lo) | (s_mid == 0)), mid, lo)

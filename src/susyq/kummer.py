@@ -26,8 +26,10 @@ other rows or points of the call.
 
 For negative non-integer a the first few terms still alternate and can
 tower over a small result (a = -5.3, z = 16 peaks near 1e4 on a value of
-0.5), so summation always runs in extended precision and rounds once at
-the end.
+0.5), so by default summation runs in extended precision and rounds once
+at the end, whatever the output dtype.  Seed tables whose plan passed
+partner's float64 probe pass work=float64 and sum in the output's own
+precision.
 
 Terminating cases (a a non-positive integer) are exact up to rounding:
 the term recurrence hits an exact zero and the sum is the polynomial value.
@@ -48,14 +50,13 @@ def _is_nonpositive_int(v: float) -> bool:
     return v <= 0 and float(v) == int(v)
 
 
-def _rows(a, b, z, tol):
-    """Sum the series for rows (a, b) at points z >= 0: (M, z M'), a (2, rows, points) longdouble array.
+def _rows(a, b, z, tol, work):
+    """Sum the series for rows (a, b) at points z >= 0: (M, z M'), a (2, rows, points) array of dtype work.
 
     z M' = sum_n n t_n comes from the same terms, so both sums see the exact a.
-    Accumulation happens in longdouble whatever the target dtype; the
-    tolerance tol (hence the term count) still follows the target.
+    Accumulation happens in work whatever the target dtype; the tolerance tol
+    (hence the term count) still follows the target.
     """
-    work = np.longdouble
     a = np.asarray(a, dtype=work)
     b = np.asarray(b, dtype=work)
     z = np.asarray(z, dtype=work)
@@ -99,15 +100,16 @@ def _rows(a, b, z, tol):
     return out
 
 
-def kummer_m(a, b, z, dtype=np.float64, zderiv=False):
+def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
     """Evaluate 1F1(a, b; z) for real a, b and real z (scalar or array).
 
     a and b may also be 1-D arrays of rows: the result then has shape
     (rows,) + z.shape, row r holding 1F1(a[r], b[r]; z), from one term loop.
     With zderiv the result is the pair (M, z M'), z M' = z d/dz 1F1 summed
-    from the same terms.  Raises InvalidParameterError when b is a
-    non-positive integer and ConvergenceError when the series fails to meet
-    tolerance.
+    from the same terms.  The series accumulates in work (extended precision
+    unless a caller asks for its output dtype) and rounds once to dtype.
+    Raises InvalidParameterError when b is a non-positive integer and
+    ConvergenceError when the series fails to meet tolerance.
     """
     rows = np.ndim(a) > 0 or np.ndim(b) > 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
@@ -120,16 +122,16 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False):
     tol = np.finfo(dtype).eps
     neg = z < 0
     if not neg.any():
-        out = _rows(a, b, z, tol).astype(dtype, copy=False)
+        out = _rows(a, b, z, tol, work).astype(dtype, copy=False)
     else:
         out = np.empty((2, a.size, z.size), dtype=dtype)
         # M(a, b, z) = e^z M(b - a, b, w) with w = -z, so z M'(a, b, z) = z M + e^z (w M')(b - a, b, w)
-        m, wm = np.exp(z[neg]) * _rows(b - a, b, -z[neg], tol)
+        m, wm = np.exp(z[neg]) * _rows(b - a, b, -z[neg], tol, work)
         out[0][:, neg] = m
         out[1][:, neg] = z[neg] * m + wm
         pos = ~neg
         if pos.any():
-            out[:, :, pos] = _rows(a, b, z[pos], tol)
+            out[:, :, pos] = _rows(a, b, z[pos], tol, work)
     out = out.reshape((2,) + a.shape + shape)
     if not rows:
         out = out[:, 0]

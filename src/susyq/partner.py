@@ -23,10 +23,18 @@ with no determinant of their own:
 
 In the Kummer frame a base state's column is (-1)^n c H_{m+n}(x) (Rodrigues'
 formula), and the solve against e_k serves the potential and every candidate.
+
+A table runs in float64 or in longdouble.  Each PartnerPotential object
+decides once, on its first table, by a fixed probe (table_dtype): float64
+where that gives Vt, W's sign and y as longdouble does, as for the plans of
+order up to 5 that follow the rules, and longdouble otherwise, as for order 6
+and the order-8 plan with energies 0.005 apart.  Points beyond FLOAT64_X_MAX
+always run in longdouble.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,6 +131,18 @@ def base_state_value(s: BaseState, x):
     return float(val) if val.ndim == 0 else val
 
 
+# Seed tables run in float64 at points up to FLOAT64_X_MAX when the plan's probe allows it, and in
+# longdouble beyond: float64 overflows e^{x^2} near x = 26.6 in any case
+FLOAT64_X_MAX = 12.0
+# the probe points, fixed whatever the batch: 24 points on (0, FLOAT64_X_MAX], beyond the default
+# x_max = 10.  They miss part of the error: on valid plans the worst point of the default grid is
+# up to 32 times the worst probe (median 4), and an error near a Wronskian zero does not show at all
+PROBE_X = np.linspace(FLOAT64_X_MAX / 24, FLOAT64_X_MAX, 24)
+# float64 is taken only when Vt, W's sign and y = M^-1 e_k agree with longdouble this closely
+# (relative) at every probe point; float64 plans then stay within 1e-9 on the grid
+PROBE_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class PartnerPotential:
     """A k-th order partner defined by its ordered seed set (k = 0 is the identity)."""
@@ -142,10 +162,57 @@ class PartnerPotential:
     def epsilons(self) -> tuple[float, ...]:
         return tuple(s.epsilon for s in self.seeds)
 
+    @functools.cached_property
+    def table_dtype(self):
+        """The dtype of this partner's seed tables at x <= FLOAT64_X_MAX: float64 or longdouble.
+
+        Decided once per object, by building the table on PROBE_X in both
+        dtypes: float64 when Vt, W's sign and y = M^-1 e_k agree there within
+        PROBE_RTOL (Vt relative to max(1, |Vt|), y to max_j |y_j| at each
+        point), longdouble otherwise or where W vanishes on a probe point.
+        """
+        if not self.order:
+            return np.float64  # no seeds, no table
+        fast, slow = (_TablePart(self, PROBE_X, dtype, self.order + 1)
+                      for dtype in (np.float64, WORK_DTYPE))
+        try:
+            y, y_ref = fast.last(), slow.last()
+            v, v_ref = fast.potential(), slow.potential()
+        except SingularWronskianError:
+            return WORK_DTYPE
+        y_err = np.abs(y - y_ref).max(axis=0)  # by point, against max_j |y_j| there
+        agree = (np.array_equal(fast.sw, slow.sw)
+                 and np.all(np.abs(v - v_ref) <= PROBE_RTOL * np.maximum(1, np.abs(v_ref)))
+                 and np.all(y_err <= PROBE_RTOL * np.abs(y_ref).max(axis=0)))
+        return np.float64 if agree else WORK_DTYPE
+
+
+def _dtype_parts(p: PartnerPotential, x):
+    """[(where, dtype)] covering the points x: p's table_dtype up to FLOAT64_X_MAX, longdouble beyond."""
+    near = x <= FLOAT64_X_MAX
+    if not near.any():
+        return [(..., WORK_DTYPE)]
+    if near.all() or p.table_dtype is WORK_DTYPE:
+        return [(..., p.table_dtype)]
+    return [(near, p.table_dtype), (~near, WORK_DTYPE)]
+
+
+def _assemble(x, values):
+    """The values [(where, value)] of the parts of the points x, on x; a single part's value as it is."""
+    if len(values) == 1:
+        return values[0][1]
+    out = np.empty(x.shape)
+    for where, value in values:
+        out[where] = value
+    return out
+
 
 def partner_v(p: PartnerPotential, x):
     """Vt(x) = x^2/2 - (ln W)''(x) for x > 0."""
-    return truncated_oscillator_v(x) - log_w_second_deriv(p.seeds, x)
+    x = np.asarray(x, dtype=float)
+    parts = _dtype_parts(p, x)
+    return truncated_oscillator_v(x) - _assemble(
+        x, [(where, log_w_second_deriv(p.seeds, x[where], dtype)) for where, dtype in parts])
 
 
 def transformed_eigenfunction(p: PartnerPotential, s: BaseState, x):
@@ -155,31 +222,62 @@ def transformed_eigenfunction(p: PartnerPotential, s: BaseState, x):
     (W(u_1..u_k) * prod_j sqrt(|E - eps_j|)), which keeps the state unit-
     normalized on (0, inf); the overall sign is not meaningful.
     """
-    return SeedTable(p, x).state(s)
+    return SeedTable(p, x, p.order).state(s)
 
 
 def added_state(p: PartnerPotential, j: int, x):
     """Unnormalized candidate phi_{eps_j} = W(minor_j) / W at the factorization energy eps_j."""
-    return SeedTable(p, x).added(j)
+    return SeedTable(p, x, p.order - 1).added(j)
 
 
 class SeedTable:
-    """The k seeds of partner p, evaluated once on the points x: Kummer-frame orders 0..k+1 and W's LU.
+    """The k seeds of partner p, evaluated once on the points x: Kummer-frame orders 0..max_order and W's LU.
 
-    The partner potential, states and candidates on x are read from it; reads leave it unchanged.
+    max_order is k + 1 by default, what the potential reads; a state reads
+    orders up to k, a candidate up to k - 1.  The table runs in p's
+    table_dtype at x <= FLOAT64_X_MAX and in longdouble beyond, in two parts
+    when x straddles it, so that no point's value depends on its batch.  The
+    partner potential, states and candidates on x are read from it; reads
+    leave it unchanged.
     """
 
-    def __init__(self, p: PartnerPotential, x):
+    def __init__(self, p: PartnerPotential, x, max_order=None):
         self.p, self.x = p, np.asarray(x, dtype=float)
-        self.half_x2 = np.asarray(self.x, dtype=WORK_DTYPE) ** 2 / 2  # each seed carries e^-half_x2
+        top = p.order + 1 if max_order is None else max_order
+        self.parts = [(where, _TablePart(p, self.x[where], dtype, top))
+                      for where, dtype in _dtype_parts(p, self.x)]
         if p.order:
-            self.table = scaled_stack(p.seeds, self.x, p.order + 1)
+            self.sw = self._read(lambda part: part.sw)  # W's sign
+
+    def potential(self):
+        """partner_v(p, x)."""
+        return self._read(_TablePart.potential)
+
+    def state(self, s: BaseState):
+        """transformed_eigenfunction(p, s, x)."""
+        return self._read(lambda part: part.state(s))
+
+    def added(self, j: int):
+        """added_state(p, j, x)."""
+        return self._read(lambda part: part.added(j))
+
+    def _read(self, read):
+        return _assemble(self.x, [(where, read(part)) for where, part in self.parts])
+
+
+class _TablePart:
+    """SeedTable on points x in one dtype: the table, W's LU on it, and the reads."""
+
+    def __init__(self, p: PartnerPotential, x, dtype, max_order):
+        self.p, self.x, self.dtype = p, x, dtype
+        self.half_x2 = np.asarray(x, dtype=dtype) ** 2 / 2  # each seed carries e^-half_x2
+        if p.order:
+            self.table = scaled_stack(p.seeds, x, max_order, dtype=dtype)
             self.lu = WronskianLU(self.table)
             self.sw, self.lw = self.lu.sign, self.lu.log
         self._last = None  # M^-1 e_k, shared by the potential and every candidate
 
     def potential(self):
-        """partner_v(p, x)."""
         v = truncated_oscillator_v(self.x)
         if not self.p.order:
             return v
@@ -187,7 +285,6 @@ class SeedTable:
         return v - log_w_second_deriv_stack(self.table, self.lu, self.x, self._last)
 
     def state(self, s: BaseState):
-        """transformed_eigenfunction(p, s, x)."""
         k, eps = self.p.order, self.p.epsilons
         if k == 0:
             return base_state_value(s, self.x)
@@ -195,7 +292,7 @@ class SeedTable:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
             )
-        column = s.kummer_frame(self.x, k, dtype=WORK_DTYPE)
+        column = s.kummer_frame(self.x, k, dtype=self.dtype)
         # W(u, psi)/W is the Schur complement psi^(k) - r M^-1 c of W's matrix M in the
         # numerator's, with c = psi's orders 0..k-1 and r = the seeds' order-k row
         ratio = column[k].copy()
@@ -204,18 +301,21 @@ class SeedTable:
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
         # Gaussian exponents: numerator e^{-(k+1)x^2/2}, denominator e^{-k x^2/2}
-        return _as_float(ratio * np.exp(-self.half_x2 - WORK_DTYPE(scale)))
+        return _as_float(ratio * np.exp(-self.half_x2 - self.dtype(scale)))
 
     def added(self, j: int):
-        """added_state(p, j, x)."""
         k = self.p.order
         if not 1 <= j <= k:
             raise IndexError(f"seed index {j} outside 1..{k}")
         # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
         # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
+        return _as_float((-1) ** (k + j) * self.last()[j - 1] * np.exp(self.half_x2))
+
+    def last(self):
+        """y = M^-1 e_k, solved once."""
         if self._last is None:
-            self._last = self._solve(unit_rhs(k, k, self.x.shape))
-        return _as_float((-1) ** (k + j) * self._last[j - 1] * np.exp(self.half_x2))
+            self._last = self._solve(unit_rhs(self.p.order, self.p.order, self.x.shape))
+        return self._last
 
     def _solve(self, b):
         """M^{-1} b from W's LU; raises where W vanishes on x."""

@@ -34,7 +34,10 @@ which holds verbatim for the stripped values v_n as well.
 A set of seeds is evaluated together (kummer_frame): every 1F1 series of
 the set runs in one kummer_m call, every step after it is elementwise over
 the points, and a lone seed is a set of one, so it gets the same values,
-bitwise, as inside any set and any batch of points.
+bitwise, as inside any set and any batch of points.  The series sums in
+longdouble unless the caller passes another work dtype: a seed table
+(wronskian.scaled_stack) runs wholly in its own dtype, float64 or longdouble
+as its partner chose (partner.PartnerPotential.table_dtype).
 """
 
 from __future__ import annotations
@@ -130,13 +133,14 @@ def derivatives(seeds, x, max_order, dtype=np.float64):
     return derivative_table(n0, n1 + x * n0, eps, x, max_order, dtype=dtype)
 
 
-def kummer_frame(seeds, x, max_order, dtype=np.float64):
+def kummer_frame(seeds, x, max_order, dtype=np.float64, work=np.longdouble):
     """[N_0 .. N_max_order] of every seed, N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}.
 
     Shape (max_order + 1, len(seeds)) + x.shape, at x >= 0.  One kummer_m call
     sums, for each branch a seed uses (even: b = 1/2, odd: b = 3/2), M(a, B)
-    and z M'(a, B) at B = b + max_order; the rest is elementwise arithmetic
-    on one (orders, branches, points) array, a few numpy calls per order.
+    and z M'(a, B) at B = b + max_order, accumulating in work; the rest is
+    elementwise arithmetic in dtype on one (orders, branches, points) array,
+    a few numpy calls per order.
     """
     top = max_order
     x = np.asarray(x, dtype=dtype)
@@ -148,7 +152,7 @@ def kummer_frame(seeds, x, max_order, dtype=np.float64):
     idx, c, a, b = (np.array(column) for column in zip(*rows))
     odd = b == 1.5
     a, b = a.astype(dtype)[:, None], b.astype(dtype)[:, None]  # a row's scalars against the points
-    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True)
+    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True, work=work)
     table = b_ladder(a, b, z, m_top, zm_top, top)  # M(a, b + m), m = 0..top
     # G_m = e^{+z} d^m/dz^m F, F(z) = e^{-z} M(a, b, z) = M(b - a, b, -z) (Kummer's transformation):
     #   G_m = (-1)^m (b - a)_m / (b)_m M(a, b + m, z), times the branch's coefficient in the seed

@@ -23,9 +23,11 @@ replacing the last two rows by r_{k-1}, r_k.  So
     (ln W(u))'' = k + r_{k+1} y - r_k y' - (r_k y)^2
 
 with no numerical differentiation and no elimination beyond W's own.  The
-elimination kernel runs in extended precision (numpy longdouble); it also
-returns its factors, and WronskianLU keeps those of M for these solves and
-for partner.SeedTable's states and candidates.
+elimination kernel runs in the dtype of the table it is given: longdouble
+(WORK_DTYPE) by default, float64 for the seed tables of a plan whose probe
+showed that float64 matches longdouble (partner.PartnerPotential.table_dtype).
+It also returns its factors, and WronskianLU keeps those of M for these
+solves and for partner.SeedTable's states and candidates, in the same dtype.
 
 det_orders takes any increasing orders, so beyond W's own it works on the
 plain frame, whose shifted-order determinants are the derivatives of W(u).
@@ -113,7 +115,7 @@ class WronskianLU:
         self._perm = None
 
     def solve(self, b):
-        """M^{-1} b at every point, in WORK_DTYPE; b has shape (k,) + the points' shape."""
+        """M^{-1} b at every point, in the factors' dtype; b has shape (k,) + the points' shape."""
         lu = self._lu
         k, npts = lu.shape[1:]
         if self._perm is None:  # compose the row swaps once: (P b)[i] = b[perm[i]]
@@ -124,7 +126,7 @@ class WronskianLU:
                 perm[piv, cols] = perm[c]
                 perm[c] = tmp
             self._perm = perm
-        b = np.asarray(b, dtype=WORK_DTYPE)
+        b = np.asarray(b, dtype=lu.dtype)
         y = np.take_along_axis(b.reshape(k, npts), self._perm, axis=0)
         # column-oriented substitutions: elementwise over the points, so no value depends on its batch
         for j in range(k - 1):
@@ -147,9 +149,9 @@ def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
     """Kummer-frame table N_n = h^(n) e^{+x^2}, h = u e^{-x^2/2}, n = 0..max_order.
 
     Shape (max_order+1, len(seeds)) + x.shape.  All seeds come from one
-    batched evaluation, a single kummer_m call.
+    batched evaluation, a single kummer_m call, which sums in dtype too.
     """
-    return kummer_frame(seeds, x, max_order, dtype=dtype)
+    return kummer_frame(seeds, x, max_order, dtype=dtype, work=dtype)
 
 
 def sign_log_det_orders(stack, orders):
@@ -217,7 +219,7 @@ def log_w_second_deriv_stack(stack, lu, x, last=None):
     Raises SingularWronskianError where W vanishes or |W| falls below SINGULAR_FLOOR.
     """
     k = stack.shape[1]
-    true_log = lu.log - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2
+    true_log = lu.log - k * np.asarray(x, dtype=lu.log.dtype) ** 2 / 2
     bad = (lu.sign == 0) | (true_log < np.log(SINGULAR_FLOOR))
     if np.any(bad):
         where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
@@ -233,8 +235,8 @@ def log_w_second_deriv_stack(stack, lu, x, last=None):
 
 
 def unit_rhs(k, j, shape):
-    """e_j (1-based) at every point: shape (k,) + shape, in WORK_DTYPE."""
-    e = np.zeros((k,) + shape, dtype=WORK_DTYPE)
+    """e_j (1-based) at every point: shape (k,) + shape; exact in any dtype, which solve casts it to."""
+    e = np.zeros((k,) + shape)
     e[j - 1] = 1
     return e
 
@@ -247,11 +249,14 @@ def _dot(row, y):
     return total
 
 
-def log_w_second_deriv(seeds, x):
-    """(d^2/dx^2) ln|W(u_1, ..., u_k)| evaluated analytically; W is factored once, nothing is kept."""
+def log_w_second_deriv(seeds, x, dtype=WORK_DTYPE):
+    """(d^2/dx^2) ln|W(u_1, ..., u_k)| evaluated analytically; W is factored once, nothing is kept.
+
+    The seed table and W's elimination run in dtype.
+    """
     x = _check_domain(x)
     k = len(seeds)
     if k == 0:
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
-    stack = scaled_stack(seeds, x, k + 1)
+    stack = scaled_stack(seeds, x, k + 1, dtype=dtype)
     return log_w_second_deriv_stack(stack, WronskianLU(stack), x)

@@ -23,7 +23,7 @@ from susyq.cli import (
 from susyq.design import make_plan
 from susyq.errors import ConfigError
 from susyq.oracle import Grid
-from susyq.partner import BaseState, added_state, normalize, transformed_eigenfunction
+from susyq.partner import PROBE_X, BaseState, added_state, normalize, transformed_eigenfunction
 
 # the package re-exports a function named `wronskian`, so the module comes from importlib
 wronskian = importlib.import_module("susyq.wronskian")
@@ -248,19 +248,21 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
     # the scan, the candidates, potential.csv, the oracle and every state of run
     # read one batched evaluation of the k seeds on grid.closed_points (n + 2 points);
     # nothing evaluates them on grid.points (n points).  The residuals read one more
-    # on their 8 sample points (Vt) and one on their 5 x 8 stencil points (every state)
+    # on their 8 sample points (Vt) and one on their 5 x 8 stencil points (every state).
+    # Every command decides the table precision once: one probe, which evaluates the
+    # seeds on PROBE_X once in float64 and once in longdouble
     evaluated, batch = [], seeds.kummer_frame
 
-    def counted(batch_seeds, x, max_order, dtype=np.float64):
-        evaluated.extend((u, np.size(x)) for u in batch_seeds)
-        return batch(batch_seeds, x, max_order, dtype=dtype)
+    def counted(batch_seeds, x, max_order, dtype=np.float64, work=np.longdouble):
+        evaluated.extend((u, np.size(x), np.dtype(work)) for u in batch_seeds)
+        return batch(batch_seeds, x, max_order, dtype=dtype, work=work)
 
     # tables reach the seeds through wronskian.scaled_stack, single seeds through seeds.derivatives
     monkeypatch.setattr(seeds, "kummer_frame", counted)
     monkeypatch.setattr(wronskian, "kummer_frame", counted)
     cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
     plan_seeds = make_plan(cfg.epsilons).seeds()
-    for command in ("run", "spectrum"):
+    for command in ("run", "validate", "spectrum"):
         evaluated.clear()
         assert run(cfg, command) == EXIT_OK
         if command == "run":
@@ -268,9 +270,12 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
             assert len(report["predicted_added"]) == 2
             assert len(report["residuals"]) == cli.N_ISO_STATES + 2
         for size in (cfg.grid_n + 2,) + ((8, 5 * 8) if command == "run" else ()):
-            on_points = [u for u, n in evaluated if n == size]
+            on_points = [u for u, n, _ in evaluated if n == size]
             assert sorted(on_points, key=plan_seeds.index) == list(plan_seeds)
-        assert not [u for u, size in evaluated if size == cfg.grid_n]
+        assert not [u for u, size, _ in evaluated if size == cfg.grid_n]
+        probes = [(u, work) for u, size, work in evaluated if size == PROBE_X.size]
+        assert sorted(probes, key=lambda e: (plan_seeds.index(e[0]), e[1].itemsize)) == [
+            (u, np.dtype(work)) for u in plan_seeds for work in (np.float64, np.longdouble)]
 
 
 def test_run_reads_states_and_candidates_by_solves_against_one_lu(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from susyq.design import make_plan, validate
 from susyq.errors import DegenerateEnergyError, NonNormalizableError
 from susyq.oracle import Grid
 from susyq.partner import (
+    FLOAT64_X_MAX,
     BaseState,
     PartnerPotential,
     SeedTable,
@@ -19,7 +20,7 @@ from susyq.partner import (
     truncated_oscillator_v,
 )
 from susyq.seeds import Parity, kummer_frame, make_seed, seed_value
-from susyq.wronskian import WORK_DTYPE, sign_log_det_orders
+from susyq.wronskian import WORK_DTYPE, log_w_second_deriv, sign_log_det_orders
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -216,47 +217,72 @@ KNOWN_FAILURE = (0.616, 0.805, 0.92, 1.124, 1.215, 1.233, 1.4, 1.405)
 def test_seed_table_reads_are_pure(eps):
     # the determinant kernel overwrites its input, so no determinant may reach the held table
     p = make_plan(eps).partner()
+    k = len(eps)
     x = Grid(n=400).closed_points
     table = SeedTable(p, x)
-    # Kummer-frame orders 0..k+1 of every seed: the states need 0..k, the potential k+1
-    seeds = np.stack([kummer_frame((u,), x, len(eps) + 1, dtype=WORK_DTYPE)[:, 0] for u in p.seeds],
-                     axis=1)
-    held = [a.copy() for a in (table.sw, table.lw)]
-    reads = [(BaseState(b, n), table.state, transformed_eigenfunction)
+    (_, part), = table.parts
+    # Kummer-frame orders 0..k+1 of every seed, in the table's own dtype: the states need 0..k,
+    # the potential k+1
+    seeds = np.stack([kummer_frame((u,), x, k + 1, dtype=part.dtype, work=part.dtype)[:, 0]
+                      for u in p.seeds], axis=1)
+    held = [a.copy() for a in (part.sw, part.lw)]
+    # (argument, read, the public function, the highest order that function builds)
+    reads = [(BaseState(b, n), SeedTable.state, transformed_eigenfunction, k)
              for b in ("odd", "even") for n in range(4)]
-    reads += [(j, table.added, added_state) for j in range(1, len(eps) + 1)]
-    reads += [(None, lambda _: table.potential(), lambda p, _, x: partner_v(p, x))]
-    first = [read(arg) for arg, read, _ in reads]
-    again = [read(arg) for arg, read, _ in reversed(reads)][::-1]
-    for (arg, _, fresh), a, b in zip(reads, first, again):
+    reads += [(j, SeedTable.added, added_state, k - 1) for j in range(1, k + 1)]
+    reads += [(None, lambda t, _: t.potential(), lambda p, _, x: partner_v(p, x), k + 1)]
+    first = [read(table, arg) for arg, read, _, _ in reads]
+    again = [read(table, arg) for arg, read, _, _ in reversed(reads)][::-1]
+    for (arg, read, fresh, top), a, b in zip(reads, first, again):
         assert a.tobytes() == b.tobytes()
-        assert a.tobytes() == fresh(p, arg, x).tobytes()
+        # a public function reads a table of the orders it needs, as the same read of such a table
+        assert read(SeedTable(p, x, top), arg).tobytes() == fresh(p, arg, x).tobytes()
+    assert first[-1].tobytes() == partner_v(p, x).tobytes()
     # longdouble padding bytes are undefined, so the held arrays compare by value
-    np.testing.assert_array_equal(table.table, seeds)
-    for a, b in zip(held, (table.sw, table.lw)):
+    np.testing.assert_array_equal(part.table, seeds)
+    for a, b in zip(held, (part.sw, part.lw)):
         np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("eps", [(-5.5, -4.5, -3.5, -2.5), KNOWN_FAILURE])
 def test_seed_table_potential_is_partner_v(eps):
-    # test_seed_table_reads_are_pure compares on a grid; here off-grid points and a scalar
+    # test_seed_table_reads_are_pure compares on a grid; here off-grid points, a batch that
+    # straddles FLOAT64_X_MAX and a scalar
     p = make_plan(eps).partner()
-    for x in (np.linspace(0.05, 9.9, 7), 2.5):
+    for x in (np.linspace(0.05, 9.9, 7), np.linspace(0.05, 13.9, 7), 2.5):
         got = SeedTable(p, x).potential()
         assert got.dtype == np.float64
         assert got.tobytes() == partner_v(p, x).tobytes()
 
 
 def test_seed_table_point_alone_equals_the_point_in_a_grid_batch():
-    p = make_plan(KNOWN_FAILURE).partner()
+    # a longdouble plan, a float64 plan, and a grid that straddles FLOAT64_X_MAX, whose points
+    # beyond it run in longdouble
+    for eps, x_max in [(KNOWN_FAILURE, 10.0), ((0.6, 0.8, 1.1, 1.4), 10.0),
+                       ((0.6, 0.8, 1.1, 1.4), 14.0)]:
+        p = make_plan(eps).partner()
+        k = len(eps)
+        x = Grid(x_max=x_max).closed_points
+        reads = [lambda t: t.potential(), lambda t: t.state(BaseState("odd", 2)),
+                 lambda t: t.state(BaseState("even", 0)), lambda t: t.added(1),
+                 lambda t: t.added(k)]
+        batch = SeedTable(p, x)
+        assert [part.dtype for _, part in batch.parts] == (
+            [np.float64, WORK_DTYPE] if x_max > FLOAT64_X_MAX else [p.table_dtype])
+        for read in reads:
+            vals = read(batch)
+            for i in list(range(1, x.size, 400)) + [x.size - 2, x.size - 1]:
+                assert read(SeedTable(p, x[i : i + 1])).tobytes() == vals[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("eps", [(0.6, 0.8, 1.1, 1.4), (1.7, 2.2), (2.6, 2.75, 3.0, 3.4)])
+def test_float64_tables_match_longdouble_on_the_closed_grid(eps):
+    # the probe sees 24 points; the grid's worst point is 5-16 times the worst probe on valid plans
+    p = make_plan(eps).partner()
+    assert p.table_dtype is np.float64
     x = Grid().closed_points
-    reads = [lambda t: t.potential(), lambda t: t.state(BaseState("odd", 2)),
-             lambda t: t.state(BaseState("even", 0)), lambda t: t.added(1), lambda t: t.added(8)]
-    batch = SeedTable(p, x)
-    for read in reads:
-        vals = read(batch)
-        for i in list(range(1, x.size, 400)) + [x.size - 2, x.size - 1]:
-            assert read(SeedTable(p, x[i : i + 1])).tobytes() == vals[i : i + 1].tobytes()
+    want = truncated_oscillator_v(x) - log_w_second_deriv(p.seeds, x)  # longdouble table
+    assert np.all(np.abs(SeedTable(p, x).potential() - want) <= 1e-9 * np.maximum(1, np.abs(want)))
 
 
 # one plan per order 1-8 in the interval the rules allow for it; order 8 is the known failure
@@ -272,7 +298,10 @@ def test_seed_table_reads_match_the_determinant_formulas(eps):
     # determinants are themselves ~1e-9 off mpmath, so it is held to 1e-10 up to x = 4 only.
     k = len(eps)
     x = Grid().closed_points
-    t = SeedTable(make_plan(eps).partner(), x[x <= (4.0 if eps == KNOWN_FAILURE else 5.0)])
+    (_, t), = SeedTable(make_plan(eps).partner(), x[x <= (4.0 if eps == KNOWN_FAILURE else 5.0)]).parts
+    # the probe takes float64 for orders 1-5 (and this order-7 plan) and keeps longdouble for
+    # the order-6 plan and the known failure
+    assert t.dtype is (WORK_DTYPE if k in (6, 8) else np.float64)
     pairs = []
     for s in (BaseState(b, n) for b in ("odd", "even") for n in range(4)):
         if s.energy in eps:
