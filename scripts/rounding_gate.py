@@ -12,11 +12,14 @@ each run's report.json, potential.csv and states.csv, and OUT/exit_codes.json
 every exit code.
 
 `compare` prints, per plan, any difference in exit code, `validation` block
-(`wronskian_zeros` included) or `predicted_added`, and the largest
-differences of the oracle levels, of Vtilde in potential.csv and of the
-residuals.  It exits 1 when an exit code, a `validation` block or
-`predicted_added` differs, or, with --tol, when a level or Vtilde differs by
-more than TOL; otherwise 0.
+(`wronskian_zeros` included), `predicted_added` or states.csv header, and
+the largest differences of the oracle levels, of Vtilde in potential.csv,
+of the states in states.csv (relative to each column's largest magnitude)
+and of the residuals.  It also counts the potential.csv and states.csv
+files that are byte-identical.  It exits 1 when an exit code, a
+`validation` block, `predicted_added` or a states.csv header differs, or,
+with --tol, when a level, Vtilde or a state differs by more than TOL;
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ def _vtilde(run: Path):
     return np.loadtxt(path, delimiter=",", skiprows=1)[:, 2] if path.exists() else None
 
 
+def _states(run: Path):
+    """(header, values) of states.csv; None when the run wrote none."""
+    path = run / "states.csv"
+    if not path.exists():
+        return None
+    return path.read_text().split("\n", 1)[0], np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def _largest(diffs):
     """(value, plan) of the largest difference; (0.0, '-') when nothing differs."""
     value, where = max(diffs, key=lambda d: d[0], default=(0.0, "-"))
@@ -70,7 +81,8 @@ def compare(old: Path, new: Path, tol) -> int:
     mismatches = []
     if sorted(codes_old) != sorted(codes_new):
         mismatches.append(f"plans differ: {sorted(set(codes_old) ^ set(codes_new))}")
-    levels, vtilde, residuals = [], [], []
+    levels, vtilde, states, residuals = [], [], [], []
+    identical = {"potential.csv": [0, 0], "states.csv": [0, 0]}  # [byte-identical, both written]
     for plan in sorted(set(codes_old) & set(codes_new)):
         if codes_old[plan] != codes_new[plan]:
             mismatches.append(f"{plan}: exit code {codes_old[plan]} -> {codes_new[plan]}")
@@ -88,20 +100,36 @@ def compare(old: Path, new: Path, tol) -> int:
         va, vb = _vtilde(old / plan), _vtilde(new / plan)
         if va is not None and vb is not None:
             vtilde.append((float(np.max(np.abs(va - vb) / np.maximum(1, np.abs(va)))), plan))
+        sa, sb = _states(old / plan), _states(new / plan)
+        if sa is not None and sb is not None:
+            if sa[0] != sb[0] or sa[1].shape != sb[1].shape:
+                mismatches.append(f"{plan}: states.csv {sa[0]} ({sa[1].shape}) -> {sb[0]} ({sb[1].shape})")
+            else:
+                scale = np.abs(sa[1]).max(axis=0)
+                diff = np.abs(sa[1] - sb[1]) / np.where(scale > 0, scale, 1.0)
+                states.append((float(diff.max(initial=0.0)), plan))
+        for name, count in identical.items():
+            fa, fb = old / plan / name, new / plan / name
+            if fa.exists() and fb.exists():
+                count[0] += fa.read_bytes() == fb.read_bytes()
+                count[1] += 1
         ra, rb = a.get("residuals", {}), b.get("residuals", {})
         residuals += [(abs(ra[e] - rb[e]), f"{plan} {e}") for e in ra.keys() & rb.keys()]
     for line in mismatches:
         print(f"mismatch: {line}")
-    print(f"{len(codes_new)} plans; exit codes, validation blocks and predicted_added: "
-          f"{len(mismatches)} mismatches")
+    print(f"{len(codes_new)} plans; exit codes, validation blocks, predicted_added and "
+          f"states.csv headers: {len(mismatches)} mismatches")
+    for name, (same, both) in identical.items():
+        print(f"{name}: {same} of {both} byte-identical")
     for name, diffs in (("oracle level (absolute)", levels),
                         ("Vtilde (relative to max(1, |Vtilde|))", vtilde),
+                        ("state (relative to its column's max)", states),
                         ("residual (absolute)", residuals)):
         value, where = _largest(diffs)
         print(f"largest {name} difference: {value:.3g} ({where})")
-    over = tol is not None and max(_largest(levels)[0], _largest(vtilde)[0]) > tol
+    over = tol is not None and max(_largest(d)[0] for d in (levels, vtilde, states)) > tol
     if over:
-        print(f"a level or Vtilde differs by more than {tol:g}")
+        print(f"a level, Vtilde or a state differs by more than {tol:g}")
     return 1 if mismatches or over else 0
 
 
@@ -116,7 +144,7 @@ def main(argv=None) -> int:
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)
     c.add_argument("--tol", type=float, default=None,
-                   help="also fail when an oracle level or Vtilde differs by more than this")
+                   help="also fail when an oracle level, Vtilde or a state differs by more than this")
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out, args.seeds, args.src.resolve())

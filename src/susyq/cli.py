@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import TransformationPlan, make_plan, validate
 from .errors import ConfigError, SusyqError
-from .oracle import Grid, discretize, eigenvalues_low, residual
+from .oracle import MAX_LEVELS, Grid, discretize, eigenvalues_low, residual
 from .partner import BaseState, SeedTable, normalize, partner_v, truncated_oscillator_v
 
 EXIT_OK = 0
@@ -135,10 +135,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # one %-format per row; "%.11e" prints every float, nan and inf included, as _fmt does
-    row_fmt = ",".join(["%.11e"] * len(columns))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    path.write_text("\n".join([",".join(header)] + [row_fmt % row for row in rows]) + "\n")
+    # one %-format over all rows; "%.11e" prints every float, nan and inf included, as _fmt does
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row_fmt = ",".join(["%.11e"] * len(columns)) + "\n"
+    path.write_text(",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _branch_states(branch: str, exclude: tuple[float, ...]) -> list[BaseState]:
@@ -161,8 +161,8 @@ def run(cfg: PlanConfig, command: str = "run") -> int:
     after loading 3 (with `error` in report.json), an OSError 74.
     """
     try:
-        if cfg.levels_to_report < 1:
-            raise ValueError("levels_to_report must be at least 1")
+        if not 1 <= cfg.levels_to_report <= MAX_LEVELS:
+            raise ValueError(f"levels_to_report must lie in 1..{MAX_LEVELS}")
         plan = make_plan(cfg.epsilons, cfg.parities) if cfg.order else TransformationPlan((), ())
         grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
     except ValueError as exc:  # the SusyqErrors a bad plan raises are ValueErrors too
@@ -244,7 +244,7 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
 
     predicted = sorted(e for e, _ in states)
     # one level past the predicted spectrum, so that a missing or extra level shows
-    count = min(max(cfg.levels_to_report, len(predicted) + 1), 20)
+    count = min(max(cfg.levels_to_report, len(predicted) + 1), MAX_LEVELS)
     oracle_levels = eigenvalues_low(discretize(vt, grid), count)
     if command == "run":
         sample = np.linspace(0.4, min(4.0, cfg.x_max - 1.0), 8)

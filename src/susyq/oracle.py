@@ -4,8 +4,10 @@
 with Dirichlet values at both ends (x_min slightly above 0 keeps 1/x^2
 terms of partner potentials finite).  Low eigenvalues come from LAPACK
 `stebz`, certified by Sturm-sequence negative-pivot counts, which are robust
-against the huge diagonal entries near the origin; eigenvectors are never
-computed here, claimed eigenfunctions are checked through their residual.
+against the huge diagonal entries near the origin.  The counts for all the
+certificate's shifts come from one pass down the matrix that carries a
+vector of pivots, one per shift; eigenvectors are never computed here,
+claimed eigenfunctions are checked through their residual.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from .errors import ConvergenceError, DomainError, PotentialSingularityError
 POTENTIAL_CAP = 1e12
 RESIDUAL_POTENTIAL_CAP = 1e6
 BRACKET_WIDTH = 1e-9
+MAX_LEVELS = 20  # the most levels eigenvalues_low certifies in one call
 # 25 times the default grid; an order-8 seed table on it is about 128 MB
 MAX_GRID_N = 100_000
+# pivot rows sturm_count holds at a time: 160 kB for the 40 shifts of 20 levels
+STURM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -76,27 +81,58 @@ def discretize(vals, g: Grid) -> Tridiag:
     return Tridiag(diag=1.0 / h2 + vals, off=np.full(g.n - 1, -0.5 / h2))
 
 
+def _negative_pivots(diag, off2, shifts, fix_zeros=False):
+    """Negative-pivot counts of diag - s*I for every s in shifts, and which s met a zero pivot.
+
+    Row i turns the pivots of all shifts at once, d = (a_i - s) - b2_i / d, so
+    each shift sees the operations of the scalar recurrence in its order.  The
+    pivots are held STURM_BLOCK rows at a time; row 0 of the buffer carries the
+    last pivot of the block before.  With fix_zeros an exact zero pivot becomes
+    the smallest normal float, as in the scalar recurrence; without it IEEE
+    division goes on past the zero, and that shift is flagged.
+    """
+    counts = np.zeros(shifts.size, dtype=int)
+    zero = np.zeros(shifts.size, dtype=bool)
+    piv = np.empty((STURM_BLOCK + 1, shifts.size))
+    piv[0] = 1.0
+    tmp = np.empty(shifts.size)
+    tiny = np.finfo(float).tiny
+    sub, div = np.subtract, np.divide
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, diag.size, STURM_BLOCK):
+            m = min(STURM_BLOCK, diag.size - start)
+            block = piv[1:m + 1]
+            np.subtract.outer(diag[start:start + m], shifts, out=block)
+            rows = list(piv[:m + 1])
+            # two numpy calls per row, whatever the number of shifts; b2 comes as a row of
+            # the block's shape (stride 0), which numpy divides faster than a Python float
+            b2_rows = np.broadcast_to(off2[start:start + m, None], block.shape)
+            for prev, row, b2 in zip(rows, rows[1:], b2_rows):
+                sub(row, div(b2, prev, tmp), row)
+                if fix_zeros:
+                    row[row == 0.0] = tiny
+            counts += np.count_nonzero(block < 0.0, axis=0)
+            zero |= (block == 0.0).any(axis=0)
+            piv[0] = piv[m]
+    return counts, zero
+
+
 def sturm_count(t: Tridiag, shift):
     """Number of eigenvalues of t strictly below shift (negative pivots of t - shift*I).
 
-    For an array of shifts, each shift runs the recurrence in Python floats;
-    memoryviews hand out the matrix entries without a boxed copy of them.
+    An array of shifts is counted in one pass over the matrix (_negative_pivots).
+    An exact zero pivot counts as positive and continues as the smallest normal
+    float; the few shifts that meet one are counted again with that check on
+    every row, so every count equals the scalar recurrence's, bit for bit.
     """
     shift = np.asarray(shift, dtype=float)
-    # a leading b^2 = 0 makes the first pivot d_0 - s exactly, with no branch in the loop
-    diag, off2 = memoryview(t.diag), memoryview(np.concatenate(([0.0], t.off * t.off)))
-    tiny = np.finfo(float).tiny
-    counts = []
-    for s in shift.ravel().tolist():
-        count, d = 0, 1.0
-        for a, b2 in zip(diag, off2):
-            d = (a - s) - b2 / d
-            if d == 0.0:
-                d = tiny
-            if d < 0.0:
-                count += 1
-        counts.append(count)
-    count = np.array(counts, dtype=int).reshape(shift.shape)
+    shifts = shift.ravel()
+    # a leading b^2 = 0 makes the first pivot (d_0 - s) - 0 / 1, with no branch in the loop
+    off2 = np.concatenate(([0.0], t.off * t.off))
+    count, zero = _negative_pivots(t.diag, off2, shifts)
+    if zero.any():
+        count[zero] = _negative_pivots(t.diag, off2, shifts[zero], fix_zeros=True)[0]
+    count = count.reshape(shift.shape)
     return int(count) if count.ndim == 0 else count
 
 
@@ -105,8 +141,8 @@ def eigenvalues_low(t: Tridiag, count: int) -> list[float]:
 
     Raises ConvergenceError when LAPACK fails or a value misses its certificate.
     """
-    if count < 1 or count > 20:
-        raise ValueError("count must lie in 1..20")
+    if not 1 <= count <= MAX_LEVELS:
+        raise ValueError(f"count must lie in 1..{MAX_LEVELS}")
     if count > t.diag.size:
         raise ValueError("cannot request more eigenvalues than matrix dimension")
     try:

@@ -179,6 +179,8 @@ BAD_NUMBERS = (
         ("spectrum", "x_max = -1"),
         ("run", "levels_to_report = 0"),
         ("spectrum", "levels_to_report = 0"),
+        ("run", "levels_to_report = 21"),
+        ("spectrum", "levels_to_report = 21"),
     ]
     + [(command, line) for line in BAD_NUMBERS for command in COMMANDS]
     # rejected by Grid before any array of that size is made
@@ -356,6 +358,15 @@ def test_run_asks_oracle_past_the_predicted_spectrum(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["predicted_spectrum"]) == 7
     assert len(report["oracle"]["eigenvalues"]) == 8
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+def test_commands_report_up_to_20_levels(tmp_path, command):
+    # 20 is the largest accepted level count (21 exits 64), and every level is reported
+    cfg = small_cfg(tmp_path, levels_to_report=20)
+    assert run(cfg, command) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["oracle"]["eigenvalues"]) == 20
 
 
 def test_run_exits_74_when_output_dir_is_a_file(tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyq import oracle
 from susyq.cli import EXIT_NUMERICAL, main
@@ -153,6 +157,68 @@ def test_sturm_count_of_shift_array_matches_scalar_counts():
     # a zero pivot (shift on a diagonal entry of a split matrix) counts as positive
     t = Tridiag(diag=np.array([2.0, 1.0, 3.0]), off=np.zeros(2))
     assert sturm_count(t, np.array([1.0, 2.0, 3.0])).tolist() == [0, 1, 2]
+
+
+# small exact values make zero pivots and split matrices (zero off-diagonals) common;
+# floats in [-4, 4] reach subnormals, and b^2 > 4 makes b^2 / tiny overflow
+ENTRIES = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sturm_count_matches_the_scalar_recurrence(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    diag = data.draw(st.lists(ENTRIES, min_size=n, max_size=n), label="diag")
+    off = data.draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1), label="off")
+    t = Tridiag(diag=np.array(diag), off=np.array(off))
+    shifts = data.draw(st.lists(st.sampled_from(diag) | ENTRIES, min_size=1, max_size=12),
+                       label="shifts")
+    # blocks shorter than the matrix carry the last pivot across block boundaries
+    block = data.draw(st.sampled_from([1, 2, 3, 7, oracle.STURM_BLOCK]), label="block")
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [reference_sturm_count(t, s) for s in shifts]
+    with mock.patch.object(oracle, "STURM_BLOCK", block):
+        got = sturm_count(t, np.array(shifts))
+        # each shift counts the same alone and anywhere inside any array
+        alone = [sturm_count(t, s) for s in shifts]
+        backwards = sturm_count(t, np.array(shifts[::-1]))
+    assert got.tolist() == want
+    assert alone == want
+    assert backwards.tolist() == want[::-1]
+
+
+def test_zero_pivot_inside_an_unsplit_matrix_continues_as_tiny():
+    # shift 0: d = 1, 0, then 0 - 1/tiny = -4.5e307 (b^2 = 1 < 4 keeps it finite, where
+    # IEEE zero gives -inf), then -1e-308 + 1/4.5e307 > 0; IEEE would count that last
+    # pivot (-1e-308 - 1/-inf) as negative
+    t = Tridiag(diag=np.array([1.0, 1.0, 0.0, -1e-308]), off=np.ones(3))
+    assert reference_sturm_count(t, 0.0) == 1
+    assert sturm_count(t, 0.0) == 1
+    assert sturm_count(t, np.array([-3.0, 0.0, 3.0])).tolist() == [
+        reference_sturm_count(t, s) for s in (-3.0, 0.0, 3.0)
+    ]
+    # 1/tiny = 2^1022 exactly: the pivot after the zero has the sign of a - 2^1022
+    for a, below in ((np.nextafter(2.0**1022, 0), 1), (np.nextafter(2.0**1022, np.inf), 0)):
+        t = Tridiag(diag=np.array([1.0, 1.0, a]), off=np.ones(2))
+        assert reference_sturm_count(t, 0.0) == below
+        assert sturm_count(t, np.array([0.0, 5.0])).tolist() == [below, reference_sturm_count(t, 5.0)]
+    # a -0.0 pivot: tiny makes the next pivot 1 - 1/tiny < 0, IEEE 1 - 1/-0.0 = +inf
+    t = Tridiag(diag=np.array([-0.0, 1.0]), off=np.ones(1))
+    assert sturm_count(t, np.array([0.0, 0.0])).tolist() == [1, 1]
+
+
+def test_sturm_count_holds_pivots_in_blocks():
+    # all pivots of 40 shifts at the largest grid would be 32 MB
+    rng = np.random.default_rng(3)
+    t = Tridiag(diag=rng.normal(size=MAX_GRID_N), off=rng.normal(size=MAX_GRID_N - 1))
+    shifts = np.linspace(-2, 2, 40)
+    tracemalloc.start()
+    try:
+        sturm_count(t, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("epsilons", [(), (-5.5, -4.5, -3.5, -2.5)])
