@@ -18,8 +18,9 @@ of the states in states.csv (relative to each column's largest magnitude)
 and of the residuals.  It also counts the potential.csv and states.csv
 files that are byte-identical.  It exits 1 when an exit code, a
 `validation` block, `predicted_added` or a states.csv header differs, or,
-with --tol, when a level, Vtilde or a state differs by more than TOL;
-otherwise 0.
+with --tol, when a level, Vtilde or a state differs by more than TOL, and
+with --tol 0 also when a potential.csv or states.csv written on both sides
+is not byte-identical; otherwise 0.
 """
 
 from __future__ import annotations
@@ -130,7 +131,11 @@ def compare(old: Path, new: Path, tol) -> int:
     over = tol is not None and max(_largest(d)[0] for d in (levels, vtilde, states)) > tol
     if over:
         print(f"a level, Vtilde or a state differs by more than {tol:g}")
-    return 1 if mismatches or over else 0
+    # equal values can still print differently, so at --tol 0 the files must match byte for byte
+    unequal = tol == 0 and any(same != both for same, both in identical.values())
+    if unequal:
+        print("a potential.csv or states.csv is not byte-identical")
+    return 1 if mismatches or over or unequal else 0
 
 
 def main(argv=None) -> int:
@@ -144,7 +149,8 @@ def main(argv=None) -> int:
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)
     c.add_argument("--tol", type=float, default=None,
-                   help="also fail when an oracle level, Vtilde or a state differs by more than this")
+                   help="also fail when an oracle level, Vtilde or a state differs by more than this; "
+                        "at 0, also when a potential.csv or states.csv is not byte-identical")
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out, args.seeds, args.src.resolve())

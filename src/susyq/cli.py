@@ -135,10 +135,65 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # one %-format over all rows; "%.11e" prints every float, nan and inf included, as _fmt does
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row_fmt = ",".join(["%.11e"] * len(columns)) + "\n"
-    path.write_text(",".join(header) + "\n" + (row_fmt * len(table)) % tuple(table.ravel().tolist()))
+    path.write_bytes((",".join(header) + "\n").encode() + _format_rows(table))
+
+
+# _format_rows prints "%.11e" with numpy.  The 12 digits of |v| are round(s), s = |v| 10^(11 - e) with
+# e = floor(log10 |v|), all in float64.  s carries two roundings, the power of ten's and the product's,
+# together below 2.3e-4 under 1e12, so round(s) is "%.11e"'s rounding wherever s lies TIE_BAND or more
+# from a tie.  A cell takes Python's own "%.11e" where that is not certain: within TIE_BAND of a tie,
+# where s falls outside [1e11, 1e12) (log10 rounded across a power of ten), and for 0, inf, nan and
+# |v| outside [10^-E_LIMIT, 10^E_LIMIT], subnormals included.  So every byte is the one "%.11e" prints.
+TIE_BAND = 2e-3
+E_LIMIT = 290
+POW10 = np.array([float(f"1e{p}") for p in range(11 - E_LIMIT, 12 + E_LIMIT)])  # 10^(11-e) at E_LIMIT-e
+# A cell is 20 bytes, written as one uint32, uint32, uint32, uint16, uint16, uint32 from these tables:
+# [sign d0 . d1][d2..d5][d6..d9][d10 d11][e ±][hundreds tens units ,].  A positive sign and the
+# hundreds of a two-digit exponent are NULs, which one translate deletes from the whole table
+LEADS = np.frombuffer(b"".join(sign + f"{d // 10}.{d % 10}".encode()
+                               for sign in (b"\0", b"-") for d in range(100)), dtype=np.uint32)
+QUADS = np.frombuffer(b"".join(f"{d:04d}".encode() for d in range(10_000)), dtype=np.uint32)
+PAIRS = np.frombuffer(b"".join(f"{d:02d}".encode() for d in range(100)), dtype=np.uint16)
+E_SIGNS = np.frombuffer(b"e+e-", dtype=np.uint16)
+EXPONENTS = np.frombuffer(b"".join(f"{e:02d},".encode().rjust(4, b"\0")
+                                   for e in range(E_LIMIT + 2)), dtype=np.uint32)  # to E_LIMIT + 1, a carry
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """The rows of a float64 (rows, columns) table as "%.11e" prints them, comma-separated, one per line."""
+    v = table.ravel()
+    a = np.abs(v)
+    fast = (a >= 10.0 ** -E_LIMIT) & (a <= 10.0 ** E_LIMIT)
+    a[~fast] = 1.0
+    e = np.clip(np.floor(np.log10(a)), -E_LIMIT, E_LIMIT).astype(np.int64)
+    s = a * POW10.take(E_LIMIT - e)
+    m = np.rint(s)
+    fast &= (np.abs(np.abs(s - m) - 0.5) >= TIE_BAND) & (s >= 1e11) & (s < 1e12)
+    carry = m == 1e12  # 9.999999999995e5 prints as 1.00000000000e+06
+    m[carry] = 1e11
+    e += carry
+    m[~fast] = 1e11  # keeps every table index in range; these cells are overwritten below
+    digits = m.astype(np.int64)
+    cells = np.empty((v.size, 20), dtype=np.uint8)
+    u16, u32 = cells.view(np.uint16), cells.view(np.uint32)
+    lead = digits // 10**10
+    rest = digits - lead * 10**10
+    u32[:, 0] = LEADS.take(lead + 100 * np.signbit(v))
+    quad = rest // 10**6
+    rest -= quad * 10**6
+    u32[:, 1] = QUADS.take(quad)
+    quad = rest // 100
+    u32[:, 2] = QUADS.take(quad)
+    u16[:, 6] = PAIRS.take(rest - 100 * quad)
+    u16[:, 7] = E_SIGNS.take(e < 0)
+    u32[:, 4] = EXPONENTS.take(np.abs(e))
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 19 characters, "-d.ddddddddddde-ddd", NUL-padded
+        text = np.array(["%.11e" % x for x in v[slow].tolist()], dtype="S19")
+        cells[slow, :19] = text.view(np.uint8).reshape(-1, 19)
+    cells.reshape(table.shape + (20,))[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _branch_states(branch: str, exclude: tuple[float, ...]) -> list[BaseState]:

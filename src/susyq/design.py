@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import BoundaryEnergyError, NonNormalizableError, SingularWronskianError
 from .oracle import Grid
-from .partner import (BaseState, PartnerPotential, SeedTable, added_state, normalize,
-                      transformed_eigenfunction)
+from .partner import BaseState, PartnerPotential, SeedTable, normalize
 from .seeds import Parity, SeedSolution, make_seed
 from .wronskian import scaled_stack, sign_log_det_orders
 
@@ -210,7 +209,7 @@ def _wronskian_zeros(on_grid: SeedTable, grid: Grid):
     """scan_singularities from W's sign in on_grid; one seed evaluation halves every flip."""
     seeds, k, xs = on_grid.p.seeds, on_grid.p.order, grid.points
     sign = on_grid.sw[1:-1]
-    zeros = [float(x) for x, s in zip(xs, sign) if s == 0]
+    zeros = xs[sign == 0].tolist()
     flip = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     lo, hi, s_lo = xs[flip], xs[flip + 1], sign[flip]
     while np.any(hi - lo > 1e-10):
@@ -258,14 +257,14 @@ class ValidationReport:
     seed_table: SeedTable | None = field(default=None, repr=False, compare=False)
 
 
-def _select_branch(p: PartnerPotential) -> str:
-    """Pick the base-state branch whose transform satisfies the origin condition."""
+def _select_branch(probe: SeedTable) -> str:
+    """Pick the base-state branch whose transform satisfies the origin condition, read from probe."""
     for branch, label in (("odd", "odd-base"), ("even", "even-base")):
         state = BaseState(branch=branch, n=0)
-        if state.energy in p.epsilons:
+        if state.energy in probe.p.epsilons:
             continue
         try:
-            verdict = boundary_check(lambda x: transformed_eigenfunction(p, state, x))
+            verdict = boundary_check(lambda x: probe.state(state))
         except SingularWronskianError:
             continue
         if verdict == "physical":
@@ -310,11 +309,12 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
     confirmed = []
     branch = "odd-base"
     if k >= 1 and not zeros:
-        p = on_grid.p
-        branch = _select_branch(p)
+        # one table on PROBE_POINTS, up to order k, serves the branch choice and every candidate
+        probe = SeedTable(on_grid.p, PROBE_POINTS, k)
+        branch = _select_branch(probe)
         for j, eps in predicted:
             try:
-                verdict = boundary_check(lambda x: added_state(p, j, x))
+                verdict = boundary_check(lambda x: probe.added(j))
             except SingularWronskianError:
                 verdict = "nonphysical"
             if verdict != "physical":

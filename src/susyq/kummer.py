@@ -68,17 +68,21 @@ def _rows(a, b, z, tol, work):
     term = np.ones(pos.size, dtype=work)
     total = np.ones(pos.size, dtype=work)
     zderiv = np.zeros(pos.size, dtype=work)
+    offsets = a.size * np.arange(BLOCK)[:, None]  # of each term's rows in the raveled ratios
     for start in range(0, TERM_CAP, BLOCK):
         if not pos.size:
             break
         ns = np.arange(start, start + BLOCK)
+        terms = ns[:, None]
         # (a + n) / ((b + n)(n + 1)) by term, row: t_{n+1} = t_n * ratio * z
-        ratios = ((a[:, None] + ns) / ((b[:, None] + ns) * (ns + 1))).T
+        ratios = ((a + terms) / ((b + terms) * (terms + 1))).ravel()
         weights = (ns + 1).astype(work)
-        # ratio * z by term and entry, a few terms at a time so that this stays under CHUNK values
+        # ratio * z by term and entry, a few terms at a time so that this stays under CHUNK values;
+        # one flat gather of the raveled [term, row] table, which a 2-D fancy index costs twice
         step = max(1, CHUNK // pos.size)
         for first in range(0, BLOCK, step):
-            for factor, weight in zip(ratios[first : first + step][:, row] * zs, weights[first:]):
+            factors = ratios.take(offsets[first : first + step] + row) * zs
+            for factor, weight in zip(factors, weights[first:]):
                 term *= factor
                 total += term
                 zderiv += weight * term

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from susyq import cli, seeds
 from susyq.cli import (
@@ -209,14 +210,36 @@ def test_numerical_failure_inside_any_stage_exits_3_with_report(tmp_path, comman
     assert report["plan"] == {"order": 1, "epsilons": [0.2], "parities": [1]}
 
 
-def test_csv_rows_equal_the_per_value_format(tmp_path):
+TWELVE_DIGITS = st.integers(10**11, 10**12 - 1)
+DOUBLES = st.one_of(
+    # any 64-bit pattern: +-0, subnormals, +-inf, nan payloads, exponents of three digits
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+    # (d + 1/2) 2^j and (d + 1/2) / 10^m: at or next to a tie of the 12-digit rounding
+    st.builds(lambda d, j, sign: sign * (d + 0.5) * 2.0**j, TWELVE_DIGITS, st.integers(-1100, 980),
+              st.sampled_from([1, -1])),
+    st.builds(lambda d, m, sign: sign * (d + 0.5) / 10**m, TWELVE_DIGITS, st.integers(0, 300),
+              st.sampled_from([1, -1])),
+    # powers of ten and their neighbours, where log10 can round across the decade and 9.99...95 carries
+    st.builds(lambda m, side: float(np.nextafter(float(f"1e{m}"), side * np.inf)),
+              st.integers(-323, 308), st.sampled_from([-1, 1])),
+    st.integers(-323, 308).map(lambda m: float(f"1e{m}")),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.lists(DOUBLES, min_size=1, max_size=40), width=st.integers(1, 4))
+def test_csv_rows_equal_the_per_value_format(tmp_path, drawn, width):
     rng = np.random.default_rng(5)
     columns = list(rng.normal(scale=1e3, size=(3, 200)))
     columns.append(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308] * 25))
-    path = tmp_path / "t.csv"
-    cli._write_csv(path, ["a", "b", "c", "d"], columns)
-    lines = ["a,b,c,d"] + [",".join(f"{v:.11e}" for v in row) for row in zip(*columns)]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    width = min(width, len(drawn))
+    tables = [columns, list(np.array(drawn[: len(drawn) // width * width]).reshape(-1, width).T)]
+    for table in tables:
+        path = tmp_path / "t.csv"  # each example overwrites it
+        header = "abcd"[: len(table)]
+        cli._write_csv(path, list(header), table)
+        lines = [",".join(header)] + [",".join(f"{v:.11e}" for v in row) for row in zip(*table)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_states_csv_holds_normalized_states_on_the_grid(tmp_path, monkeypatch):
