@@ -1,26 +1,29 @@
-"""Rounding gate: `susyq run` outputs of the benchmark's `pipeline` plans, and a comparison of two such trees.
+"""Rounding gate: outputs of the benchmark's `run` and `spectrum` configs, and a comparison of two such trees.
 
     python scripts/rounding_gate.py write OUT --seeds 3 7 11 [--src SRC]
     python scripts/rounding_gate.py compare OLD NEW [--tol TOL]
 
 `write` runs `susyq run` on the 11 `pipeline` plans of each seed (the base
 problem, valid orders 1-6, three rule-breaking plans and the order-8
-known-failure plan), as perfbench/workloads.py draws them; that file is only
-read.  susyq is imported from SRC (default: this checkout's src), so the
-same script writes the trees of two source trees.  OUT/<seed>/<plan>/ holds
-each run's report.json, potential.csv and states.csv, and OUT/exit_codes.json
-every exit code.
+known-failure plan) and `susyq spectrum` on its 6 `spectrum_sweep` configs
+(the base problem and two order-4 partners, on 4000 and 8000 points, 20
+levels), as perfbench/workloads.py draws them; that file is only read.
+susyq is imported from SRC (default: this checkout's src), so the same
+script writes the trees of two source trees.  OUT/<seed>/<plan>/ holds each
+run's report.json, potential.csv and states.csv (a spectrum config's
+report.json only), and OUT/exit_codes.json every exit code.
 
 `compare` prints, per plan, any difference in exit code, `validation` block
 (`wronskian_zeros` included), `predicted_added` or states.csv header, and
-the largest differences of the oracle levels, of Vtilde in potential.csv,
-of the states in states.csv (relative to each column's largest magnitude)
-and of the residuals.  It also counts the potential.csv and states.csv
-files that are byte-identical.  It exits 1 when an exit code, a
-`validation` block, `predicted_added` or a states.csv header differs, or,
-with --tol, when a level, Vtilde or a state differs by more than TOL, and
-with --tol 0 also when a potential.csv or states.csv written on both sides
-is not byte-identical; otherwise 0.
+the largest differences of the oracle levels (the spectrum reports'
+included), of Vtilde in potential.csv, of the states in states.csv
+(relative to each column's largest magnitude) and of the residuals.  It
+also counts the potential.csv and states.csv files that are
+byte-identical.  It exits 1 when an exit code, a `validation` block,
+`predicted_added` or a states.csv header differs, or, with --tol, when a
+level, Vtilde or a state differs by more than TOL, and with --tol 0 also
+when a potential.csv or states.csv written on both sides is not
+byte-identical; otherwise 0.
 """
 
 from __future__ import annotations
@@ -42,16 +45,18 @@ def write(out: Path, seeds, src: Path) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import susyq
     import susyq.cli
-    from workloads import Pipeline
+    from workloads import Pipeline, SpectrumSweep
 
     codes = {}
     for seed in seeds:
         workdir = out / str(seed)
         workdir.mkdir(parents=True)
         wl = Pipeline(susyq, seed, workdir)
-        for case in wl.valid + wl.breaking + [wl.failure]:
+        runs = [("run", case) for case in wl.valid + wl.breaking + [wl.failure]]
+        runs += [("spectrum", case) for case in SpectrumSweep(susyq, seed, workdir).cases]
+        for command, case in runs:
             with contextlib.redirect_stderr(io.StringIO()):
-                codes[f"{seed}/{case.name}"] = susyq.cli.main(["run", str(case.config)])
+                codes[f"{seed}/{case.name}"] = susyq.cli.main([command, str(case.config)])
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(codes)} runs under {out} with susyq from {Path(susyq.__file__).parent}")
     return 0

@@ -71,7 +71,10 @@ def _parse_int(text: str, line: int) -> int:
 def parse_config(text) -> PlanConfig:
     """Parse `key = value` lines into a PlanConfig; unknown keys are errors."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from None
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -96,6 +99,8 @@ def parse_config(text) -> PlanConfig:
         elif key == "x_max":
             values[key] = _parse_number(rhs, lineno)
         elif key == "output_dir":
+            if "\0" in rhs:  # no file system takes it; mkdir would raise ValueError
+                raise ConfigError("output_dir contains a NUL byte", line=lineno)
             values[key] = Path(rhs)
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno)

@@ -29,7 +29,11 @@ decides once, on its first table, by a fixed probe (table_dtype): float64
 where that gives Vt, W's sign and y as longdouble does, as for the plans of
 order up to 5 that follow the rules, and longdouble otherwise, as for order 6
 and the order-8 plan with energies 0.005 apart.  Points beyond FLOAT64_X_MAX
-always run in longdouble.
+always run in longdouble; SeedTable is the one place that splits a batch.
+
+partner_v, transformed_eigenfunction and added_state each read one SeedTable
+built for them, so they compute exactly what a held table gives, and all
+three raise DomainError unless every x > 0.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ import numpy as np
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
-from .wronskian import (WORK_DTYPE, WronskianLU, log_w_second_deriv, log_w_second_deriv_stack,
+from .wronskian import (WORK_DTYPE, WronskianLU, _check_domain, log_w_second_deriv_stack,
                         scaled_stack, unit_rhs)
+from .wronskian import log_w_second_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 from .wronskian import sign_log_det_orders  # noqa: F401 (perfbench/tracing.py patches it)
 
 
@@ -187,32 +192,9 @@ class PartnerPotential:
         return np.float64 if agree else WORK_DTYPE
 
 
-def _dtype_parts(p: PartnerPotential, x):
-    """[(where, dtype)] covering the points x: p's table_dtype up to FLOAT64_X_MAX, longdouble beyond."""
-    near = x <= FLOAT64_X_MAX
-    if not near.any():
-        return [(..., WORK_DTYPE)]
-    if near.all() or p.table_dtype is WORK_DTYPE:
-        return [(..., p.table_dtype)]
-    return [(near, p.table_dtype), (~near, WORK_DTYPE)]
-
-
-def _assemble(x, values):
-    """The values [(where, value)] of the parts of the points x, on x; a single part's value as it is."""
-    if len(values) == 1:
-        return values[0][1]
-    out = np.empty(x.shape)
-    for where, value in values:
-        out[where] = value
-    return out
-
-
 def partner_v(p: PartnerPotential, x):
     """Vt(x) = x^2/2 - (ln W)''(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    parts = _dtype_parts(p, x)
-    return truncated_oscillator_v(x) - _assemble(
-        x, [(where, log_w_second_deriv(p.seeds, x[where], dtype)) for where, dtype in parts])
+    return SeedTable(p, x).potential()
 
 
 def transformed_eigenfunction(p: PartnerPotential, s: BaseState, x):
@@ -238,19 +220,22 @@ class SeedTable:
     table_dtype at x <= FLOAT64_X_MAX and in longdouble beyond, in two parts
     when x straddles it, so that no point's value depends on its batch.  The
     partner potential, states and candidates on x are read from it; reads
-    leave it unchanged.
+    leave it unchanged.  Raises DomainError unless every x > 0.
     """
 
     def __init__(self, p: PartnerPotential, x, max_order=None):
-        self.p, self.x = p, np.asarray(x, dtype=float)
+        self.p, self.x = p, _check_domain(x)
         top = p.order + 1 if max_order is None else max_order
-        self.parts = [(where, _TablePart(p, self.x[where], dtype, top))
-                      for where, dtype in _dtype_parts(p, self.x)]
+        near = self.x <= FLOAT64_X_MAX
+        dtype = p.table_dtype if near.any() else WORK_DTYPE  # no probe when no point may take float64
+        split = dtype is np.float64 and not near.all()
+        parts = [(near, dtype), (~near, WORK_DTYPE)] if split else [(..., dtype)]
+        self.parts = [(where, _TablePart(p, self.x[where], dt, top)) for where, dt in parts]
         if p.order:
             self.sw = self._read(lambda part: part.sw)  # W's sign
 
     def potential(self):
-        """partner_v(p, x)."""
+        """Vt = x^2/2 - (ln W)'' on x, what partner_v(p, x) returns."""
         return self._read(_TablePart.potential)
 
     def state(self, s: BaseState):
@@ -262,7 +247,13 @@ class SeedTable:
         return self._read(lambda part: part.added(j))
 
     def _read(self, read):
-        return _assemble(self.x, [(where, read(part)) for where, part in self.parts])
+        """read(part) of every part, assembled on x; a single part's value as it is."""
+        if len(self.parts) == 1:
+            return read(self.parts[0][1])
+        out = np.empty(self.x.shape)
+        for where, part in self.parts:
+            out[where] = read(part)
+        return out
 
 
 class _TablePart:

@@ -23,11 +23,13 @@ replacing the last two rows by r_{k-1}, r_k.  So
     (ln W(u))'' = k + r_{k+1} y - r_k y' - (r_k y)^2
 
 with no numerical differentiation and no elimination beyond W's own.  The
-elimination kernel runs in the dtype of the table it is given: longdouble
-(WORK_DTYPE) by default, float64 for the seed tables of a plan whose probe
-showed that float64 matches longdouble (partner.PartnerPotential.table_dtype).
+elimination kernel runs in the dtype of the table it is given: float64 for
+the seed tables of a plan whose probe showed that float64 matches longdouble
+(partner.PartnerPotential.table_dtype), longdouble (WORK_DTYPE) otherwise.
 It also returns its factors, and WronskianLU keeps those of M for these
 solves and for partner.SeedTable's states and candidates, in the same dtype.
+partner.SeedTable decides the dtype; log_w_second_deriv here is the plain
+longdouble path, which the package's partner_v does not take.
 
 det_orders takes any increasing orders, so beyond W's own it works on the
 plain frame, whose shifted-order determinants are the derivatives of W(u).
@@ -249,14 +251,15 @@ def _dot(row, y):
     return total
 
 
-def log_w_second_deriv(seeds, x, dtype=WORK_DTYPE):
+def log_w_second_deriv(seeds, x):
     """(d^2/dx^2) ln|W(u_1, ..., u_k)| evaluated analytically; W is factored once, nothing is kept.
 
-    The seed table and W's elimination run in dtype.
+    The seed table and W's elimination run in longdouble, whatever the
+    plan's probe would choose (partner.SeedTable).
     """
     x = _check_domain(x)
     k = len(seeds)
     if k == 0:
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
-    stack = scaled_stack(seeds, x, k + 1, dtype=dtype)
+    stack = scaled_stack(seeds, x, k + 1)
     return log_w_second_deriv_stack(stack, WronskianLU(stack), x)

@@ -428,6 +428,15 @@ def test_main_bad_config_is_config_error(tmp_path):
     assert main(["run", str(config)]) == EXIT_CONFIG
 
 
+def test_main_config_bytes_that_no_key_can_hold_are_config_errors(tmp_path):
+    # a file that is not UTF-8, and an output_dir that no file system takes
+    for name, text in (("latin1.cfg", b"order = 1\nepsilons = 0.3\xff\n"),
+                       ("nul.cfg", b"order = 1\nepsilons = -1.3\noutput_dir = out\x00dir\n")):
+        config = tmp_path / name
+        config.write_bytes(text)
+        assert main(["run", str(config)]) == EXIT_CONFIG
+
+
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs every process and every CLI call ~0.3 s and ~24 MB
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from susyq.design import make_plan, validate
-from susyq.errors import DegenerateEnergyError, NonNormalizableError
+from susyq.errors import DegenerateEnergyError, DomainError, NonNormalizableError
 from susyq.oracle import Grid
 from susyq.partner import (
     FLOAT64_X_MAX,
@@ -253,6 +253,21 @@ def test_seed_table_potential_is_partner_v(eps):
         got = SeedTable(p, x).potential()
         assert got.dtype == np.float64
         assert got.tobytes() == partner_v(p, x).tobytes()
+        if eps == KNOWN_FAILURE:
+            # partner_v is a SeedTable read; wronskian's longdouble path is independent of it
+            assert p.table_dtype is WORK_DTYPE
+            want = truncated_oscillator_v(x) - log_w_second_deriv(p.seeds, x)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_every_partner_read_requires_positive_x():
+    reads = [lambda x: partner_v(DEEP, x), lambda x: added_state(DEEP, 2, x),
+             lambda x: transformed_eigenfunction(DEEP, BaseState("odd", 1), x),
+             lambda x: SeedTable(DEEP, x)]
+    for read in reads:
+        for x in (0.0, np.array([1.0, -1.0])):
+            with pytest.raises(DomainError):
+                read(x)
 
 
 def test_seed_table_point_alone_equals_the_point_in_a_grid_batch():
