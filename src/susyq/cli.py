@@ -323,33 +323,22 @@ def _stages(cfg: PlanConfig, command: str, plan: TransformationPlan, grid: Grid,
 
 
 def _spectrum_checks(predicted, oracle_levels):
-    checks = []
-    for level in predicted:
-        nearest = min(oracle_levels, key=lambda v: abs(v - level))
-        checks.append(
-            {
-                "rule": "oracle.level",
-                "expected": level,
-                "observed": nearest,
-                "pass": bool(abs(nearest - level) <= SPECTRUM_TOL),
-            }
-        )
-    if predicted:
-        top = max(predicted)
-        extras = [
-            v
-            for v in oracle_levels
-            if v < top + SPECTRUM_TOL
-            and all(abs(v - q) > SPECTRUM_TOL for q in predicted)
-        ]
-        checks.append(
-            {
-                "rule": "oracle.no-extra-levels",
-                "expected": [],
-                "observed": extras,
-                "pass": not extras,
-            }
-        )
+    """The predicted levels paired one to one, in order, with the oracle's below top + SPECTRUM_TOL.
+
+    A predicted level left without an oracle level observes None and fails;
+    oracle levels left over fail oracle.no-extra-levels.
+    """
+    if not predicted:
+        return []
+    predicted = sorted(predicted)
+    below = sorted(v for v in oracle_levels if v < predicted[-1] + SPECTRUM_TOL)
+    paired = below + [None] * (len(predicted) - len(below))
+    checks = [{"rule": "oracle.level", "expected": level, "observed": seen,
+               "pass": seen is not None and bool(abs(seen - level) <= SPECTRUM_TOL)}
+              for level, seen in zip(predicted, paired)]
+    extras = below[len(predicted):]
+    checks.append({"rule": "oracle.no-extra-levels", "expected": [], "observed": extras,
+                   "pass": not extras})
     return checks
 
 

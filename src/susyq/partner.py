@@ -91,48 +91,32 @@ class BaseState:
         # C_n = [sqrt(pi) 2^{2n} (2n+1)!]^{-1/2},  B_n = [sqrt(pi) 2^{2n-1} (2n)!]^{-1/2}
         return 1.0 / math.sqrt(math.sqrt(math.pi) * 2 ** (m - 1) * math.factorial(m))
 
-    def _hermite_pair(self, x, dtype):
-        """(H_m(x), H_{m-1}(x)) by the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}."""
-        x = np.asarray(x, dtype=dtype)
-        h_prev = np.zeros_like(x)
-        h = np.ones_like(x)
-        for m in range(self.hermite_index):
-            h, h_prev = 2 * x * h - 2 * m * h_prev, h
-        return h, h_prev
-
-    def scaled_first_two(self, x, dtype=np.float64):
-        x = np.asarray(x, dtype=dtype)
-        h, h_lo = self._hermite_pair(x, dtype)
-        c = dtype(self.norm_constant)
-        v0 = c * h
-        v1 = c * (2 * self.hermite_index * h_lo - x * h)
-        return v0, v1
-
-    def scaled_derivatives(self, x, max_order, dtype=np.float64):
-        v0, v1 = self.scaled_first_two(x, dtype=dtype)
-        return derivative_table(v0, v1, self.energy, x, max_order, dtype=dtype)
+    # no package code reads it; it stays because perfbench/tracing.py patches it
+    def scaled_derivatives(self, x, max_order):
+        """[v_0 .. v_max_order], v_n = psi^(n) e^{+x^2/2}: the longdouble Kummer frame, mapped."""
+        frame = self.kummer_frame(x, max_order, dtype=np.longdouble)
+        return derivative_table(frame, x).astype(np.float64)
 
     def kummer_frame(self, x, max_order, dtype=np.float64):
         """Orders 0..max_order of (psi e^{-x^2/2}) e^{+x^2}, the seeds' Kummer frame.
 
         psi e^{-x^2/2} = c H_m e^{-x^2}, and by Rodrigues' formula its n-th
-        derivative is (-1)^n c H_{m+n} e^{-x^2}: the column is (-1)^n c H_{m+n}(x).
+        derivative is (-1)^n c H_{m+n} e^{-x^2}: the column is (-1)^n c H_{m+n}(x),
+        with H from the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}.
         """
         x = np.asarray(x, dtype=dtype)
-        h, h_prev = self._hermite_pair(x, dtype)
-        rows = [h]
-        for m in range(self.hermite_index, self.hermite_index + max_order):
-            h, h_prev = 2 * x * h - 2 * m * h_prev, h
-            rows.append(h)
+        hermite = [np.zeros_like(x), np.ones_like(x)]  # H_{-1}, H_0
+        for m in range(self.hermite_index + max_order):
+            hermite.append(2 * x * hermite[-1] - 2 * m * hermite[-2])
         c = dtype(self.norm_constant)
+        rows = hermite[1 + self.hermite_index :]
         return np.array([(-c if n % 2 else c) * row for n, row in enumerate(rows)])
 
 
 def base_state_value(s: BaseState, x):
     """Normalized value of psi_n or chi_n on [0, infinity)."""
     x = np.asarray(x, dtype=float)
-    v0, _ = s.scaled_first_two(x)
-    val = v0 * np.exp(-x * x / 2)
+    val = s.kummer_frame(x, 0)[0] * np.exp(-x * x / 2)
     return float(val) if val.ndim == 0 else val
 
 

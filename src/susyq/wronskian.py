@@ -31,8 +31,8 @@ solves and for partner.SeedTable's states and candidates, in the same dtype.
 partner.SeedTable decides the dtype; log_w_second_deriv here is the plain
 longdouble path, which the package's partner_v does not take.
 
-det_orders takes any increasing orders, so beyond W's own it works on the
-plain frame, whose shifted-order determinants are the derivatives of W(u).
+det_orders takes any increasing orders, whose determinants are the
+derivatives of W(u), and reads them from the same Kummer-frame table.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularWronskianError
-from .seeds import derivatives as seed_derivatives
-from .seeds import kummer_frame
+from .seeds import derivative_table, kummer_frame
 
 WORK_DTYPE = np.longdouble
 
@@ -142,8 +141,8 @@ class WronskianLU:
 
 def _check_domain(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("Wronskian evaluation requires x > 0")
+    if not np.all((x > 0) & (x < np.inf)):
+        raise DomainError("Wronskian evaluation requires finite x > 0")
     return x
 
 
@@ -176,16 +175,26 @@ def sign_log_det_orders(stack, orders):
 def det_orders(seeds, orders, x):
     """Determinant with rows u_j^{(orders[i])}(x), Gaussian factor included.
 
-    W itself (orders 0..k-1) is taken over the Kummer frame, which has the
-    same determinant and keeps it well conditioned at large x; any other
-    orders over the seeds' own (Gaussian-stripped) derivatives.
+    Taken over the Kummer frame N of one scaled_stack, which keeps it well
+    conditioned at large x: W itself (orders 0..k-1) has the same
+    determinant there.  Other orders are rows of the plain frame v = L N,
+    L = derivative_table of the identity, unit lower triangular; each row L_s
+    less multiples of the rows below it in orders is N_s plus multiples of the
+    orders below s outside them, with the same determinant.
     """
     x = _check_domain(x)
     orders = list(orders)
-    if orders == list(range(len(seeds))):
-        stack = scaled_stack(seeds, x, max(orders, default=0))
-    else:
-        stack = seed_derivatives(seeds, x, max(orders, default=0), dtype=WORK_DTYPE)
+    stack = scaled_stack(seeds, x, max(orders, default=0))
+    if orders != list(range(len(seeds))):
+        lmap = derivative_table(np.multiply.outer(np.eye(len(stack)), np.ones_like(x)), x)
+        rows, reduced = stack.copy(), {}
+        for s in orders:
+            row = lmap[s]
+            for t, below in reduced.items():
+                row = row - row[t] * below
+            reduced[s] = row
+            rows[s] = _dot(row, stack)
+        stack = rows
     sign, logd = sign_log_det_orders(stack, orders)
     k = len(seeds)
     val = sign * np.exp(logd - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2)

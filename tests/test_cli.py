@@ -348,6 +348,20 @@ def test_run_confirms_plans_that_need_the_whole_grid(tmp_path, eps):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_spectrum_checks_pair_levels_one_to_one():
+    # the oracle has two levels below the top where three are predicted: 1.2015 lies within the
+    # tolerance of both 1.2 and 1.203, but it may stand for only one of them
+    checks = cli._spectrum_checks([1.2, 1.203, 1.5], [1.2015, 1.5, 3.5])
+    assert [c["rule"] for c in checks] == ["oracle.level"] * 3 + ["oracle.no-extra-levels"]
+    assert [c["observed"] for c in checks[:3]] == [1.2015, 1.5, None]
+    assert [c["pass"] for c in checks] == [True, False, False, True]
+    # an extra oracle level below the top is left over after the pairing
+    checks = cli._spectrum_checks([1.5, 1.2], [1.2, 1.35, 1.5, 3.5])
+    assert [c["observed"] for c in checks] == [1.2, 1.35, [1.5]]
+    assert [c["pass"] for c in checks] == [True, False, False]
+    assert cli._spectrum_checks([], [1.5]) == []
+
+
 def test_validate_reports_only_the_genuine_wronskian_zero(tmp_path):
     # energies above 3/2 and about 0.03 apart: in the plain frame W's sign flipped 262 times on
     # the default grid, 261 of them rounding noise beyond x = 8.  mpmath puts the one zero at

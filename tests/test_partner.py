@@ -89,10 +89,16 @@ def test_base_state_energies_and_indices():
 
 
 def test_base_states_are_unit_normalized_on_half_line():
+    xs = np.linspace(0.0, 6.0, 25)
     for branch, n in [("odd", 0), ("odd", 3), ("even", 0), ("even", 2)]:
         s = BaseState(branch, n)
         val, _ = quad(lambda x: base_state_value(s, x) ** 2, 0, 12, limit=200)
         assert val == pytest.approx(1.0, rel=1e-10)
+        # the plain frame v_n = psi^(n) e^{x^2/2} solves the oscillator's ODE, v_2 = (x^2 - 2E) v_0
+        v = s.scaled_derivatives(xs, 2)
+        np.testing.assert_allclose(v[0] * np.exp(-xs * xs / 2), base_state_value(s, xs), rtol=1e-15)
+        scale = np.abs(v).max(axis=0)
+        assert np.all(np.abs(v[2] - (xs * xs - 2 * s.energy) * v[0]) <= 1e-14 * scale)
 
 
 def test_ground_state_closed_form():
@@ -265,7 +271,7 @@ def test_every_partner_read_requires_positive_x():
              lambda x: transformed_eigenfunction(DEEP, BaseState("odd", 1), x),
              lambda x: SeedTable(DEEP, x)]
     for read in reads:
-        for x in (0.0, np.array([1.0, -1.0])):
+        for x in (0.0, np.nan, np.inf, np.array([1.0, -1.0]), np.array([1.0, np.nan])):
             with pytest.raises(DomainError):
                 read(x)
 

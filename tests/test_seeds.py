@@ -107,20 +107,24 @@ def test_rejects_null_seed():
 
 def test_domain_errors():
     u = make_seed(1.5, Parity.ODD)
-    with pytest.raises(DomainError):
-        seed_value(u, -0.5)
-    with pytest.raises(DomainError):
-        seed_derivs(u, 0.0, 2)
+    for x in (-0.5, np.nan, np.inf, -np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            seed_value(u, x)
+    for x in (0.0, -0.5, np.nan, np.inf, np.array([1.0, np.inf])):
+        with pytest.raises(DomainError):
+            seed_derivs(u, x, 2)
 
 
 def test_derivative_table_shape():
-    u = make_seed(0.9, Parity.ODD)
+    seeds = (make_seed(0.9, Parity.ODD), make_seed_general(0.9, 0.7, -1.3))
     xs = np.linspace(0.2, 2.0, 11)
-    v0, v1 = u.scaled_first_two(xs)
-    table = derivative_table(v0, v1, u.epsilon, xs, 5)
-    assert table.shape == (6, 11)
-    np.testing.assert_allclose(table[0], v0)
-    np.testing.assert_allclose(table[1], v1)
+    frame = kummer_frame(seeds, xs, 5, dtype=np.longdouble)
+    table = derivative_table(frame, xs)
+    assert table.shape == (6, 2, 11)
+    assert table.dtype == np.longdouble
+    # the map is unit lower triangular: v_0 = N_0 and v_1 = N_1 + x N_0, bit for bit
+    np.testing.assert_array_equal(table[0], frame[0])
+    np.testing.assert_array_equal(table[1], frame[1] + xs.astype(np.longdouble) * frame[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,12 +163,14 @@ def test_seed_point_alone_equals_the_point_in_a_grid_batch(seed):
                                   make_seed(-4.2, Parity.EVEN), make_seed(2.27, Parity.ODD),
                                   make_seed_general(0.9, 0.7, -1.3)])
 def test_kummer_frame_matches_mpmath(seed, monkeypatch):
-    # N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}, differentiated by mpmath at 40 digits
+    # N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}, differentiated by mpmath at 40 digits, and the
+    # plain frame v_n = u^(n) e^{+x^2/2} that derivatives maps it to
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(mpmath.mp, "dps", 40)
     top = 7
     x = np.array([0.05, 0.9, 3.0, 6.5, 9.99])
     got = kummer_frame((seed,), x, top, dtype=np.longdouble)[:, 0]
+    plain = derivatives((seed,), x, top)[:, 0]
 
     def h(t):
         m_e = mpmath.hyp1f1(mpmath.mpf(seed.a_even), 0.5, t * t)
@@ -177,3 +183,8 @@ def test_kummer_frame_matches_mpmath(seed, monkeypatch):
         for n in range(top + 1):
             num, den = got[n, i].as_integer_ratio()
             assert abs(mpmath.mpf(num) / den - want[n]) <= 1e-17 * scale
+        want = [d * mpmath.exp(xi * xi / 2)
+                for d in mpmath.diffs(lambda t: h(t) * mpmath.exp(t * t / 2), xi, top)]
+        scale = max(abs(w) for w in want)
+        for n in range(top + 1):
+            assert abs(plain[n, i] - want[n]) <= 1e-14 * scale

@@ -117,6 +117,24 @@ def test_deep_class_a_first_log_derivative_decays_at_origin():
     assert vals[2] < 1e-3
 
 
+def test_det_orders_shifted_orders_are_the_derivatives_of_w():
+    # W = c e^{2x^2} p(x) with p = deep_poly: W'/W = 4x + p'/p and W''/W = (W'/W)' + (W'/W)^2.
+    # Read from the plain frame's rows, these were off by up to 1.4e-13 on this grid
+    x = np.linspace(0.1, 9.9, 99).reshape(9, 11)
+    p, dp = deep_poly(x), 128 * x**7 - 384 * x**5 + 480 * x**3
+    ddp = 896 * x**6 - 1920 * x**4 + 1440 * x**2
+    w = wronskian(DEEP_SEEDS, x)
+    w1 = 4 * x + dp / p
+    w2 = 4 + (ddp * p - dp * dp) / (p * p) + w1 * w1
+    np.testing.assert_allclose(det_orders(DEEP_SEEDS, [0, 1, 2, 4], x) / w, w1, rtol=1e-14)
+    second = det_orders(DEEP_SEEDS, [0, 1, 2, 5], x) + det_orders(DEEP_SEEDS, [0, 1, 3, 4], x)
+    np.testing.assert_allclose(second / w, w2, rtol=1e-14)
+    # a point alone equals the point in the batch
+    batch = det_orders(DEEP_SEEDS, [0, 1, 3, 4], x)
+    for i in [(0, 0), (4, 7), (8, 10)]:
+        assert det_orders(DEEP_SEEDS, [0, 1, 3, 4], x[i]) == batch[i]
+
+
 def test_det_orders_validates_order_list():
     pair = [make_seed(0.5, EVEN), make_seed(1.5, ODD)]
     stack = scaled_stack(pair, np.asarray(1.0), 3)
