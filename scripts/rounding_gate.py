@@ -18,12 +18,13 @@ report.json only), and OUT/exit_codes.json every exit code.
 the largest differences of the oracle levels (the spectrum reports'
 included), of Vtilde in potential.csv, of the states in states.csv
 (relative to each column's largest magnitude) and of the residuals.  It
-also counts the potential.csv and states.csv files that are
+also counts the report.json, potential.csv and states.csv files that are
 byte-identical.  It exits 1 when an exit code, a `validation` block,
 `predicted_added` or a states.csv header differs, or, with --tol, when a
 level, Vtilde or a state differs by more than TOL, and with --tol 0 also
-when a potential.csv or states.csv written on both sides is not
-byte-identical; otherwise 0.
+when a report.json, potential.csv or states.csv written on both sides is
+not byte-identical, so that no field of a report (`error`, `checks`,
+`oracle.grid`, the residuals) may differ; otherwise 0.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def compare(old: Path, new: Path, tol) -> int:
     if sorted(codes_old) != sorted(codes_new):
         mismatches.append(f"plans differ: {sorted(set(codes_old) ^ set(codes_new))}")
     levels, vtilde, states, residuals = [], [], [], []
-    identical = {"potential.csv": [0, 0], "states.csv": [0, 0]}  # [byte-identical, both written]
+    # [byte-identical, both written]
+    identical = {"report.json": [0, 0], "potential.csv": [0, 0], "states.csv": [0, 0]}
     for plan in sorted(set(codes_old) & set(codes_new)):
         if codes_old[plan] != codes_new[plan]:
             mismatches.append(f"{plan}: exit code {codes_old[plan]} -> {codes_new[plan]}")
@@ -136,10 +138,11 @@ def compare(old: Path, new: Path, tol) -> int:
     over = tol is not None and max(_largest(d)[0] for d in (levels, vtilde, states)) > tol
     if over:
         print(f"a level, Vtilde or a state differs by more than {tol:g}")
-    # equal values can still print differently, so at --tol 0 the files must match byte for byte
+    # equal values can still print differently, and a report holds more than the values compared
+    # above, so at --tol 0 the files must match byte for byte
     unequal = tol == 0 and any(same != both for same, both in identical.values())
     if unequal:
-        print("a potential.csv or states.csv is not byte-identical")
+        print("a report.json, potential.csv or states.csv is not byte-identical")
     return 1 if mismatches or over or unequal else 0
 
 
@@ -155,7 +158,8 @@ def main(argv=None) -> int:
     c.add_argument("new", type=Path)
     c.add_argument("--tol", type=float, default=None,
                    help="also fail when an oracle level, Vtilde or a state differs by more than this; "
-                        "at 0, also when a potential.csv or states.csv is not byte-identical")
+                        "at 0, also when a report.json, potential.csv or states.csv is not "
+                        "byte-identical")
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out, args.seeds, args.src.resolve())

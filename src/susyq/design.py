@@ -200,8 +200,6 @@ def predict_added(plan: TransformationPlan):
 
 def scan_singularities(plan: TransformationPlan, grid: Grid):
     """Zeros of W(u_1..u_k) in (x_min, x_max), bisected to 1e-10; one SeedTable holds the seeds."""
-    if plan.order == 0:
-        return []
     return _wronskian_zeros(SeedTable(plan.partner(), grid.closed_points), grid)
 
 
@@ -301,7 +299,7 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
 
     # the one evaluation of the seeds on the grid: the scan, the candidates and cli.run read it
     on_grid = SeedTable(plan.partner(), grid.closed_points)
-    zeros = _wronskian_zeros(on_grid, grid) if k >= 1 else []
+    zeros = _wronskian_zeros(on_grid, grid)
     for z in zeros:
         violations.append((RULE_WRONSKIAN_ZERO, f"Wronskian zero at x = {z:.6g}"))
 

@@ -27,9 +27,9 @@ other rows or points of the call.
 For negative non-integer a the first few terms still alternate and can
 tower over a small result (a = -5.3, z = 16 peaks near 1e4 on a value of
 0.5), so by default summation runs in extended precision and rounds once
-at the end, whatever the output dtype.  Seed tables whose plan passed
-partner's float64 probe pass work=float64 and sum in the output's own
-precision.
+at the end, whatever the output dtype.  Seed frames (seeds.kummer_frame)
+pass work=dtype: longdouble, or float64 for a seed table whose plan passed
+partner's float64 probe.
 
 Terminating cases (a a non-positive integer) are exact up to rounding:
 the term recurrence hits an exact zero and the sum is the polynomial value.

@@ -13,8 +13,8 @@ and added-state candidates are ratios of a one-seed-deleted Wronskian to
 the full one.  The partner, all states and all candidates on one point
 array share one evaluation of the seeds (SeedTable), in the Kummer frame of
 the seeds module, which also holds the LU of W's matrix M (rows: orders
-0..k-1, columns: seeds).  All three are read from it by triangular solves,
-with no determinant of their own:
+0..k-1, columns: seeds), a wronskian.WronskianLU.  All three are read from
+it by triangular solves, with no determinant of their own:
 
     W(u_1..u_k, psi) / W = psi^(k) - r M^{-1} c      (c: psi's orders 0..k-1,
                                                       r: the seeds' order k)
@@ -22,7 +22,9 @@ with no determinant of their own:
     (ln W)'' = k + r_{k+1} y - r_k y' - (r_k y)^2     (y = M^{-1} e_k, y' = M^{-1} e_{k-1})
 
 In the Kummer frame a base state's column is (-1)^n c H_{m+n}(x) (Rodrigues'
-formula), and the solve against e_k serves the potential and every candidate.
+formula).  The LU solves against e_k once (WronskianLU.last), for the
+potential and every candidate, whichever is read first.  A partner of no
+seeds is the oscillator itself: its table is empty and its W is 1.
 
 A table runs in float64 or in longdouble.  Each PartnerPotential object
 decides once, on its first table, by a fixed probe (table_dtype): float64
@@ -46,8 +48,7 @@ import numpy as np
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
 from .seeds import SeedSolution, derivative_table
-from .wronskian import (WORK_DTYPE, WronskianLU, _check_domain, log_w_second_deriv_stack,
-                        scaled_stack, unit_rhs)
+from .wronskian import WORK_DTYPE, WronskianLU, _check_domain, scaled_stack
 from .wronskian import log_w_second_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 from .wronskian import sign_log_det_orders  # noqa: F401 (perfbench/tracing.py patches it)
 
@@ -165,10 +166,10 @@ class PartnerPotential:
         fast, slow = (_TablePart(self, PROBE_X, dtype, self.order + 1)
                       for dtype in (np.float64, WORK_DTYPE))
         try:
-            y, y_ref = fast.last(), slow.last()
             v, v_ref = fast.potential(), slow.potential()
         except SingularWronskianError:
             return WORK_DTYPE
+        y, y_ref = fast.lu.last, slow.lu.last
         y_err = np.abs(y - y_ref).max(axis=0)  # by point, against max_j |y_j| there
         agree = (np.array_equal(fast.sw, slow.sw)
                  and np.all(np.abs(v - v_ref) <= PROBE_RTOL * np.maximum(1, np.abs(v_ref)))
@@ -203,8 +204,10 @@ class SeedTable:
     orders up to k, a candidate up to k - 1.  The table runs in p's
     table_dtype at x <= FLOAT64_X_MAX and in longdouble beyond, in two parts
     when x straddles it, so that no point's value depends on its batch.  The
-    partner potential, states and candidates on x are read from it; reads
-    leave it unchanged.  Raises DomainError unless every x > 0.
+    partner potential, states and candidates on x are read from each part's
+    WronskianLU, which answers every read that needs only W; reads leave the
+    table unchanged.  With no seeds the table is empty, W is 1 and sw is 1
+    everywhere.  Raises DomainError unless every x > 0.
     """
 
     def __init__(self, p: PartnerPotential, x, max_order=None):
@@ -215,8 +218,7 @@ class SeedTable:
         split = dtype is np.float64 and not near.all()
         parts = [(near, dtype), (~near, WORK_DTYPE)] if split else [(..., dtype)]
         self.parts = [(where, _TablePart(p, self.x[where], dt, top)) for where, dt in parts]
-        if p.order:
-            self.sw = self._read(lambda part: part.sw)  # W's sign
+        self.sw = self._read(lambda part: part.sw)  # W's sign
 
     def potential(self):
         """Vt = x^2/2 - (ln W)'' on x, what partner_v(p, x) returns."""
@@ -246,23 +248,15 @@ class _TablePart:
     def __init__(self, p: PartnerPotential, x, dtype, max_order):
         self.p, self.x, self.dtype = p, x, dtype
         self.half_x2 = np.asarray(x, dtype=dtype) ** 2 / 2  # each seed carries e^-half_x2
-        if p.order:
-            self.table = scaled_stack(p.seeds, x, max_order, dtype=dtype)
-            self.lu = WronskianLU(self.table)
-            self.sw, self.lw = self.lu.sign, self.lu.log
-        self._last = None  # M^-1 e_k, shared by the potential and every candidate
+        self.table = scaled_stack(p.seeds, x, max_order, dtype=dtype)
+        self.lu = WronskianLU(self.table)
+        self.sw, self.lw = self.lu.sign, self.lu.log
 
     def potential(self):
-        v = truncated_oscillator_v(self.x)
-        if not self.p.order:
-            return v
-        # the e_k solve is shared when a candidate read has made it; W is checked first either way
-        return v - log_w_second_deriv_stack(self.table, self.lu, self.x, self._last)
+        return truncated_oscillator_v(self.x) - self.lu.log_w_second_deriv(self.x)
 
     def state(self, s: BaseState):
         k, eps = self.p.order, self.p.epsilons
-        if k == 0:
-            return base_state_value(s, self.x)
         if s.energy in eps:
             raise DegenerateEnergyError(
                 f"state energy {s.energy} coincides with a factorization energy"
@@ -271,7 +265,7 @@ class _TablePart:
         # W(u, psi)/W is the Schur complement psi^(k) - r M^-1 c of W's matrix M in the
         # numerator's, with c = psi's orders 0..k-1 and r = the seeds' order-k row
         ratio = column[k].copy()
-        for r_j, y_j in zip(self.table[k], self._solve(column[:k])):
+        for r_j, y_j in zip(self.table[k], self._factors().solve(column[:k])):
             ratio -= r_j * y_j
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
@@ -284,21 +278,15 @@ class _TablePart:
             raise IndexError(f"seed index {j} outside 1..{k}")
         # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
         # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
-        return _as_float((-1) ** (k + j) * self.last()[j - 1] * np.exp(self.half_x2))
+        return _as_float((-1) ** (k + j) * self._factors().last[j - 1] * np.exp(self.half_x2))
 
-    def last(self):
-        """y = M^-1 e_k, solved once."""
-        if self._last is None:
-            self._last = self._solve(unit_rhs(self.p.order, self.p.order, self.x.shape))
-        return self._last
-
-    def _solve(self, b):
-        """M^{-1} b from W's LU; raises where W vanishes on x."""
+    def _factors(self):
+        """W's LU, to solve against; raises where W vanishes on x."""
         if np.any(self.sw == 0):
             raise SingularWronskianError(
                 f"Wronskian vanishes on the requested points near x = {self.x}"
             )
-        return self.lu.solve(b)
+        return self.lu
 
 
 def _as_float(val):

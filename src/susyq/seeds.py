@@ -36,10 +36,11 @@ reads about 1e-14 of max_n |v_n| near x = 4.
 A set of seeds is evaluated together (kummer_frame): every 1F1 series of
 the set runs in one kummer_m call, every step after it is elementwise over
 the points, and a lone seed is a set of one, so it gets the same values,
-bitwise, as inside any set and any batch of points.  The series sums in
-longdouble unless the caller passes another work dtype: a seed table
-(wronskian.scaled_stack) runs wholly in its own dtype, float64 or longdouble
-as its partner chose (partner.PartnerPotential.table_dtype).
+bitwise, as inside any set and any batch of points.  The whole frame, the
+series included, runs in the dtype it is asked for: longdouble for the
+plain-frame reads, and for a seed table (wronskian.scaled_stack) float64 or
+longdouble as its partner chose (partner.PartnerPotential.table_dtype).  No
+seeds is an empty frame, with no series to sum.
 """
 
 from __future__ import annotations
@@ -130,14 +131,14 @@ def derivatives(seeds, x, max_order):
     return derivative_table(frame, x).astype(np.float64)
 
 
-def kummer_frame(seeds, x, max_order, dtype=np.float64, work=np.longdouble):
+def kummer_frame(seeds, x, max_order, dtype=np.float64):
     """[N_0 .. N_max_order] of every seed, N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}.
 
-    Shape (max_order + 1, len(seeds)) + x.shape, at x >= 0.  One kummer_m call
-    sums, for each branch a seed uses (even: b = 1/2, odd: b = 3/2), M(a, B)
-    and z M'(a, B) at B = b + max_order, accumulating in work; the rest is
-    elementwise arithmetic in dtype on one (orders, branches, points) array,
-    a few numpy calls per order.
+    Shape (max_order + 1, len(seeds)) + x.shape, at x >= 0, all in dtype.  One
+    kummer_m call sums, for each branch a seed uses (even: b = 1/2, odd:
+    b = 3/2), M(a, B) and z M'(a, B) at B = b + max_order; the rest is
+    elementwise arithmetic on one (orders, branches, points) array, a few
+    numpy calls per order.
     """
     top = max_order
     x = np.asarray(x, dtype=dtype)
@@ -146,10 +147,12 @@ def kummer_frame(seeds, x, max_order, dtype=np.float64, work=np.longdouble):
     # one row per branch in use, (seed, coefficient, a, b), in seed order, even before odd
     rows = [r for i, s in enumerate(seeds)
             for r in ((i, s.b1, s.a_even, 0.5), (i, s.b2, s.a_odd, 1.5)) if r[1] != 0]
+    if not rows:  # no seeds: an empty frame, and no series to sum
+        return np.zeros((top + 1, 0) + shape, dtype=dtype)
     idx, c, a, b = (np.array(column) for column in zip(*rows))
     odd = b == 1.5
     a, b = a.astype(dtype)[:, None], b.astype(dtype)[:, None]  # a row's scalars against the points
-    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True, work=work)
+    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True, work=dtype)
     table = b_ladder(a, b, z, m_top, zm_top, top)  # M(a, b + m), m = 0..top
     # G_m = e^{+z} d^m/dz^m F, F(z) = e^{-z} M(a, b, z) = M(b - a, b, -z) (Kummer's transformation):
     #   G_m = (-1)^m (b - a)_m / (b)_m M(a, b + m, z), times the branch's coefficient in the seed

@@ -22,14 +22,17 @@ replacing the last two rows by r_{k-1}, r_k.  So
 
     (ln W(u))'' = k + r_{k+1} y - r_k y' - (r_k y)^2
 
-with no numerical differentiation and no elimination beyond W's own.  The
-elimination kernel runs in the dtype of the table it is given: float64 for
-the seed tables of a plan whose probe showed that float64 matches longdouble
-(partner.PartnerPotential.table_dtype), longdouble (WORK_DTYPE) otherwise.
-It also returns its factors, and WronskianLU keeps those of M for these
-solves and for partner.SeedTable's states and candidates, in the same dtype.
-partner.SeedTable decides the dtype; log_w_second_deriv here is the plain
-longdouble path, which the package's partner_v does not take.
+with no numerical differentiation and no elimination beyond W's own.
+
+WronskianLU factors M once and keeps the stack it factored; it owns every
+read that needs only W: its sign and log, solves against M, y = M^{-1} e_k
+(solved once, shared by (ln W)'' and partner.SeedTable's candidates), and
+(ln W)'' itself.  The elimination runs in the dtype of the stack it is given:
+float64 for the seed tables of a plan whose probe showed that float64
+matches longdouble (partner.PartnerPotential.table_dtype), longdouble
+(WORK_DTYPE) otherwise; partner.SeedTable decides it, and this module's own
+functions always take longdouble.  No seeds is an empty stack, whose W is 1:
+sign 1, log 0, (ln W)'' = 0.
 
 det_orders takes any increasing orders, whose determinants are the
 derivatives of W(u), and reads them from the same Kummer-frame table.
@@ -60,13 +63,13 @@ def _lu_batch(mats):
     pivots[c] is the row swapped with row c at step c.
     """
     *lead, k, _ = mats.shape
-    a = mats.reshape(-1, k, k)
-    npts = a.shape[0]
-    dt = a.dtype
-    sign = np.ones(npts, dtype=dt)
-    logd = np.zeros(npts, dtype=dt)
+    sign = np.ones(lead, dtype=mats.dtype).ravel()  # it counts the points, which reshape(-1, 0, 0) cannot
+    npts = sign.size
+    a = mats.reshape(npts, k, k)
+    logd = np.zeros(npts, dtype=a.dtype)
 
-    colscale = np.maximum(a.max(axis=1), -a.min(axis=1))  # max |a| with no np.abs copy
+    # max |a| with no np.abs copy; the initial 0 changes no column and lets k = 0 reduce
+    colscale = np.maximum(a.max(axis=1, initial=0), -a.min(axis=1, initial=0))
     zero_col = colscale == 0
     sign[zero_col.any(axis=1)] = 0
     colscale[colscale == 0] = 1
@@ -101,19 +104,20 @@ def _lu_batch(mats):
 class WronskianLU:
     """W's matrix M = [v_i of function j] (i = 0..k-1) of a stack, factored once at every point.
 
-    sign and log are det M as sign_log_det_orders(stack, range(k)) gives them,
-    bitwise; solve(b) is M^{-1} b by two triangular solves against the held
-    factors.  The stack itself is never written.
+    sign and log are det M in (sign, log|det|) form; solve(b) is M^{-1} b by
+    two triangular solves against the held factors.  The stack is kept and
+    never written: log_w_second_deriv reads its orders k and k+1.
     """
 
     def __init__(self, stack):
+        self.stack = stack
         k = stack.shape[1]
         # stack[list(...)] is a copy; the elimination runs in place and must not reach the stack
         mats = np.moveaxis(stack[list(range(k))], (0, 1), (-2, -1))
         self.sign, self.log, (lu, colscale, self._pivots) = _lu_batch(mats)
         # (row, column, point) layout: every slice below is contiguous over the points
         self._lu, self._colscale = np.moveaxis(lu, 0, -1), colscale.T
-        self._perm = None
+        self._perm = self._last = None
 
     def solve(self, b):
         """M^{-1} b at every point, in the factors' dtype; b has shape (k,) + the points' shape."""
@@ -138,6 +142,42 @@ class WronskianLU:
         y /= self._colscale
         return y.reshape(b.shape)
 
+    @property
+    def last(self):
+        """y = M^{-1} e_k, solved once: (ln W)'' and every candidate read it, whichever comes first."""
+        if self._last is None:
+            self._last = self._solve_unit(self.stack.shape[1])
+        return self._last
+
+    def _solve_unit(self, j):
+        """M^{-1} e_j (1-based) at every point; e_j is exact in the factors' dtype."""
+        e = np.zeros(self.stack.shape[1:], dtype=self._lu.dtype)
+        e[j - 1 : j] = 1  # a slice, which is empty when there are no seeds
+        return self.solve(e)
+
+    def log_w_second_deriv(self, x):
+        """(ln W)'' on the stack's points x, which the stack holds to order k + 1.
+
+        With y = M^-1 e_k and y' = M^-1 e_{k-1}, and r_n the stack's order-n row:
+
+            (ln W)'' = k + r_{k+1} y - r_k y' - (r_k y)^2
+
+        Raises SingularWronskianError where W vanishes or |W| falls below SINGULAR_FLOOR.
+        """
+        stack = self.stack
+        k = stack.shape[1]
+        true_log = self.log - k * np.asarray(x, dtype=self.log.dtype) ** 2 / 2
+        bad = (self.sign == 0) | (true_log < np.log(SINGULAR_FLOOR))
+        if np.any(bad):
+            where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
+            raise SingularWronskianError(f"Wronskian vanishes near x = {where}")
+        w1 = _dot(stack[k], self.last)  # W'/W in the Kummer frame
+        w2 = _dot(stack[k + 1], self.last)  # W''/W: one bordered determinant ...
+        if k >= 2:  # ... and, replacing two rows, -r_k y'
+            w2 -= _dot(stack[k], self._solve_unit(k - 1))
+        result = np.asarray(k + w2 - w1 * w1, dtype=float)
+        return float(result) if result.ndim == 0 else result
+
 
 def _check_domain(x):
     x = np.asarray(x, dtype=float)
@@ -152,24 +192,17 @@ def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
     Shape (max_order+1, len(seeds)) + x.shape.  All seeds come from one
     batched evaluation, a single kummer_m call, which sums in dtype too.
     """
-    return kummer_frame(seeds, x, max_order, dtype=dtype, work=dtype)
+    return kummer_frame(seeds, x, max_order, dtype=dtype)
 
 
 def sign_log_det_orders(stack, orders):
     """(sign, log) of det[ v_{orders[i]} of func j ] from a precomputed stack."""
-    k = stack.shape[1]
-    if len(orders) != k:
+    if len(orders) != stack.shape[1]:
         raise ValueError("need as many derivative orders as functions")
     if list(orders) != sorted(set(orders)):
         raise ValueError("derivative orders must be strictly increasing")
-    if k == 0:
-        shape = stack.shape[2:]
-        return np.ones(shape), np.zeros(shape)
-    # stack axes: (order, func, *pts) -> (*pts, row=order, col=func); sel is a fresh copy
-    sel = stack[list(orders)]
-    mats = np.moveaxis(sel, (0, 1), (-2, -1))
-    sign, logd, _ = _lu_batch(mats)
-    return sign, logd
+    lu = WronskianLU(stack[list(orders)])  # the selected rows are the orders 0..k-1 of their own stack
+    return lu.sign, lu.log
 
 
 def det_orders(seeds, orders, x):
@@ -204,11 +237,7 @@ def det_orders(seeds, orders, x):
 
 def wronskian(seeds, x):
     """W(u_1, ..., u_k)(x); the empty Wronskian is 1."""
-    k = len(seeds)
-    if k == 0:
-        x = _check_domain(x)
-        return 1.0 if x.ndim == 0 else np.ones_like(x)
-    return det_orders(seeds, list(range(k)), x)
+    return det_orders(seeds, range(len(seeds)), x)
 
 
 def wronskian_minor(seeds, j: int, x):
@@ -219,44 +248,11 @@ def wronskian_minor(seeds, j: int, x):
     return wronskian([s for i, s in enumerate(seeds, start=1) if i != j], x)
 
 
-def log_w_second_deriv_stack(stack, lu, x, last=None):
-    """(ln W)'' on x from a Kummer-frame stack (orders 0..k+1 of k seeds) and W's factors lu there.
-
-    With y = M^-1 e_k (last, when the caller holds it) and y' = M^-1 e_{k-1}
-    against W's matrix M, and r_n the stack's order-n row:
-
-        (ln W)'' = k + r_{k+1} y - r_k y' - (r_k y)^2
-
-    Raises SingularWronskianError where W vanishes or |W| falls below SINGULAR_FLOOR.
-    """
-    k = stack.shape[1]
-    true_log = lu.log - k * np.asarray(x, dtype=lu.log.dtype) ** 2 / 2
-    bad = (lu.sign == 0) | (true_log < np.log(SINGULAR_FLOOR))
-    if np.any(bad):
-        where = np.asarray(x)[np.atleast_1d(bad)] if np.ndim(x) else x
-        raise SingularWronskianError(f"Wronskian vanishes near x = {where}")
-    if last is None:
-        last = lu.solve(unit_rhs(k, k, np.shape(x)))
-    w1 = _dot(stack[k], last)  # W'/W in the Kummer frame
-    w2 = _dot(stack[k + 1], last)  # W''/W: one bordered determinant ...
-    if k >= 2:  # ... and, replacing two rows, -r_k y'
-        w2 -= _dot(stack[k], lu.solve(unit_rhs(k, k - 1, np.shape(x))))
-    result = np.asarray(k + w2 - w1 * w1, dtype=float)
-    return float(result) if result.ndim == 0 else result
-
-
-def unit_rhs(k, j, shape):
-    """e_j (1-based) at every point: shape (k,) + shape; exact in any dtype, which solve casts it to."""
-    e = np.zeros((k,) + shape)
-    e[j - 1] = 1
-    return e
-
-
 def _dot(row, y):
-    """sum_j row[j] y[j] at every point, in increasing j, so no value depends on its batch."""
-    total = row[0] * y[0]
-    for r_j, y_j in zip(row[1:], y[1:]):
-        total = total + r_j * y_j
+    """sum_j row[j] y[j] at every point, in y's dtype and increasing j, so no value depends on its batch."""
+    total = np.full(y.shape[1:], -0.0, dtype=y.dtype)  # -0.0 + t is t, bitwise
+    for r_j, y_j in zip(row, y):
+        total += r_j * y_j
     return total
 
 
@@ -267,8 +263,4 @@ def log_w_second_deriv(seeds, x):
     plan's probe would choose (partner.SeedTable).
     """
     x = _check_domain(x)
-    k = len(seeds)
-    if k == 0:
-        return 0.0 if x.ndim == 0 else np.zeros_like(x)
-    stack = scaled_stack(seeds, x, k + 1)
-    return log_w_second_deriv_stack(stack, WronskianLU(stack), x)
+    return WronskianLU(scaled_stack(seeds, x, len(seeds) + 1)).log_w_second_deriv(x)

@@ -278,9 +278,9 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
     # seeds on PROBE_X once in float64 and once in longdouble
     evaluated, batch = [], seeds.kummer_frame
 
-    def counted(batch_seeds, x, max_order, dtype=np.float64, work=np.longdouble):
-        evaluated.extend((u, np.size(x), np.dtype(work)) for u in batch_seeds)
-        return batch(batch_seeds, x, max_order, dtype=dtype, work=work)
+    def counted(batch_seeds, x, max_order, dtype=np.float64):
+        evaluated.extend((u, np.size(x), np.dtype(dtype)) for u in batch_seeds)
+        return batch(batch_seeds, x, max_order, dtype=dtype)
 
     # tables reach the seeds through wronskian.scaled_stack, single seeds through seeds.derivatives
     monkeypatch.setattr(seeds, "kummer_frame", counted)

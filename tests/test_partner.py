@@ -20,7 +20,7 @@ from susyq.partner import (
     truncated_oscillator_v,
 )
 from susyq.seeds import Parity, kummer_frame, make_seed, seed_value
-from susyq.wronskian import WORK_DTYPE, log_w_second_deriv, sign_log_det_orders
+from susyq.wronskian import WORK_DTYPE, WronskianLU, log_w_second_deriv, sign_log_det_orders
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -229,7 +229,7 @@ def test_seed_table_reads_are_pure(eps):
     (_, part), = table.parts
     # Kummer-frame orders 0..k+1 of every seed, in the table's own dtype: the states need 0..k,
     # the potential k+1
-    seeds = np.stack([kummer_frame((u,), x, k + 1, dtype=part.dtype, work=part.dtype)[:, 0]
+    seeds = np.stack([kummer_frame((u,), x, k + 1, dtype=part.dtype)[:, 0]
                       for u in p.seeds], axis=1)
     held = [a.copy() for a in (part.sw, part.lw)]
     # (argument, read, the public function, the highest order that function builds)
@@ -248,6 +248,21 @@ def test_seed_table_reads_are_pure(eps):
     np.testing.assert_array_equal(part.table, seeds)
     for a, b in zip(held, (part.sw, part.lw)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_potential_and_candidates_share_one_solve(monkeypatch):
+    # Vt reads y = M^-1 e_k and y' = M^-1 e_{k-1}, every candidate y alone: W's LU solves for y
+    # once, whichever is read first, so Vt and the four candidates make two solves in either order
+    x = Grid(n=400).closed_points
+    tables = SeedTable(DEEP, x), SeedTable(DEEP, x)  # the dtype probe's solves come before the count
+    solves, solve = [], WronskianLU.solve
+    monkeypatch.setattr(WronskianLU, "solve", lambda self, b: solves.append(b) or solve(self, b))
+    reads = [lambda t: t.potential()] + [lambda t, j=j: t.added(j) for j in range(1, 5)]
+    for table, order in zip(tables, (reads, reads[::-1])):
+        solves.clear()
+        for read in order:
+            read(table)
+        assert [int(np.flatnonzero(b[:, 0])[0]) for b in solves] == [3, 2]  # e_k, then e_{k-1}
 
 
 @pytest.mark.parametrize("eps", [(-5.5, -4.5, -3.5, -2.5), KNOWN_FAILURE])

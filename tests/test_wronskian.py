@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyq.errors import DomainError, SingularWronskianError
-from susyq.seeds import Parity, make_seed
+from susyq.seeds import Parity, kummer_frame, make_seed
 from susyq.wronskian import (
     det_orders,
     log_w_second_deriv,
@@ -51,6 +51,18 @@ def test_empty_wronskian_is_one():
     xs = np.linspace(0.5, 2.0, 5)
     np.testing.assert_allclose(wronskian([], xs), np.ones_like(xs))
     assert wronskian([], 1.0) == 1.0
+    # no seeds is an empty table: W is 1 and (ln W)'' is 0, a float for a scalar x and an array
+    # of x's shape otherwise
+    for x in (1.0, [1.0], xs, xs.reshape(5, 1)):
+        reads = [(det_orders([], [], x), 1.0), (wronskian([], x), 1.0),
+                 (log_w_second_deriv([], x), 0.0)]
+        for got, want in reads:
+            if np.ndim(x):
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+                assert np.all(got == want)
+            else:
+                assert type(got) is float and got == want
+        assert kummer_frame((), x, 2).shape == (3, 0) + np.shape(x)
 
 
 def test_duplicate_seeds_give_numerically_zero_determinant():
