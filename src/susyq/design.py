@@ -9,9 +9,12 @@ and even-branch oscillator levels:
 All k factorization energies of a plan must sit in one such interval, with
 seed parities alternating so the last seed is even in class A and odd in
 class B.  At most floor(k/2) of the epsilons survive as genuine levels of
-the partner Hamiltonian; which ones is a pure parity statement, verified
-here both by rule and behaviorally (decay probing near the origin plus a
-singularity scan of the Wronskian).
+the partner Hamiltonian.  Which ones, and which base branch stays, one count
+decides for any parity vector: the origin exponent of the partner, read from
+how many seeds are even and how many odd (see predict_added).  The levels it
+names are then checked behaviorally (decay probing near the origin and
+normalizability) on plans whose Wronskian the singularity scan finds free of
+zeros.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import BoundaryEnergyError, NonNormalizableError, SingularWronskianError
 from .oracle import Grid
-from .partner import BaseState, PartnerPotential, SeedTable, normalize
+from .partner import PartnerPotential, SeedTable, normalize
 from .seeds import Parity, SeedSolution, make_seed
 from .wronskian import scaled_stack, sign_log_det_orders
 
@@ -148,54 +151,42 @@ def _common_interval(plan: TransformationPlan):
     return classes[0], []
 
 
-def wronskian_parity(parities) -> int:
-    """Parity of W(u_1..u_k): every permutation term shares (-1)^{k(k-1)/2} prod P(u_j)."""
-    k = len(parities)
-    p = 1
-    for v in parities:
-        p *= int(v)
-    return (-1) ** (k * (k - 1) // 2) * p
-
-
-def candidate_parity_physical(parities, j: int) -> bool:
-    """Rule-based boundary classification of phi_{eps_j} from the parity algebra.
-
-    With an even Wronskian the candidate must be odd; with an odd Wronskian
-    (possible only for odd k) only removal of an even seed leaves a ratio
-    whose origin limit still vanishes, while removal of an odd seed hits
-    the induced pole of 1/W at x = 0.
-    """
-    k = len(parities)
-    if not 1 <= j <= k:
-        raise IndexError(f"seed index {j} outside 1..{k}")
-    pw = wronskian_parity(parities)
-    pminor = wronskian_parity([p for i, p in enumerate(parities, start=1) if i != j])
-    if pw == 1:
-        return pminor == -1
-    return pminor == -1 and int(parities[j - 1]) == 1
+def _odd_seeds_added(parities) -> bool:
+    """True when even seeds outnumber odd ones, d = n_e - n_o >= 1 (see predict_added)."""
+    return 2 * sum(p is Parity.EVEN for p in parities) > len(parities)
 
 
 def predict_added(plan: TransformationPlan):
-    """[(j, eps_j)] predicted to join the spectrum, 1-based, at most floor(k/2)."""
+    """[(j, eps_j)] predicted to join the spectrum, 1-based: min(n_e, n_o) <= floor(k/2) of them.
+
+    Near x = 0 an even seed goes as x^0 and an odd one as x^1.  Reducing
+    same-parity seeds against each other leaves the n_e even seeds the
+    leading powers 0, 2, 4, ... and the n_o odd ones 1, 3, 5, ..., and a
+    Wronskian of leading powers p_i goes as x^(sum p_i - k(k-1)/2).  With
+    d = n_e - n_o that is W ~ x^(d(d-1)/2), so Vtilde = x^2/2 - (ln W)''
+    ~ d(d-1)/(2 x^2) and a solution regular at 0 goes as x^max(d, 1-d).
+
+    Deleting an odd seed takes d to d + 1, so the candidate W(minor_j)/W
+    goes as x^d; deleting an even one takes d to d - 1 and leaves x^(1-d).
+    Appending a base state to W moves d the other way: an even one goes as
+    x^d, an odd one as x^(1-d).  So when n_e > n_o (d >= 1) the odd seeds
+    are added and the even base branch stays; otherwise (d <= 0) the even
+    seeds are added and the odd branch stays.  Either way min(n_e, n_o)
+    seeds are added, which is at most floor(k/2) for any parity vector.
+
+    An odd order above E0, or energies off one interval, predict nothing.
+    """
     k = plan.order
     if k % 2 == 1 and max(plan.epsilons) > GROUND_ENERGY:
         return []
-    interval, violations = _common_interval(plan)
-    if violations:
+    if _common_interval(plan)[1]:
         return []
-    rule_parity = Parity.EVEN
-    if k % 2 == 1 and interval.kind == "A":
-        rule_parity = Parity.ODD
-    candidates = [
+    added = Parity.ODD if _odd_seeds_added(plan.parities) else Parity.EVEN
+    return [
         (j, e)
         for j, (e, p) in enumerate(zip(plan.epsilons, plan.parities), start=1)
-        if p is rule_parity and candidate_parity_physical(plan.parities, j)
+        if p is added
     ]
-    n_even = sum(1 for p in plan.parities if p is Parity.EVEN)
-    n_odd = k - n_even
-    # same-parity seed pairs annihilate; deviant plans create fewer levels
-    cap = min(k // 2, min(n_even, n_odd) + (1 if k % 2 == 1 else 0))
-    return candidates[:cap]
 
 
 def scan_singularities(plan: TransformationPlan, grid: Grid):
@@ -230,10 +221,9 @@ DECADE_DECAY_FACTOR = 5.0
 def boundary_check(f) -> str:
     """'physical' when |f| decays toward the origin like x^p (p >= 1), else 'nonphysical'.
 
-    Probing is behavioral on purpose: user-chosen parities can produce even
-    candidates that nevertheless vanish at 0 for isolated energies, and a
-    decay test handles those uniformly.  f is called once, on the array of
-    PROBE_POINTS, and returns the values there.
+    Probing is behavioral on purpose: it checks on the computed values the
+    decay that predict_added's origin exponent promises.  f is called once,
+    on the array of PROBE_POINTS, and returns the values there.
     """
     vals = np.abs(np.asarray(f(np.array(PROBE_POINTS)), dtype=float)).tolist()
     ok = all(
@@ -253,21 +243,6 @@ class ValidationReport:
     predicted_isospectral_branch: str = "odd-base"
     wronskian_zeros: list = field(default_factory=list)
     seed_table: SeedTable | None = field(default=None, repr=False, compare=False)
-
-
-def _select_branch(probe: SeedTable) -> str:
-    """Pick the base-state branch whose transform satisfies the origin condition, read from probe."""
-    for branch, label in (("odd", "odd-base"), ("even", "even-base")):
-        state = BaseState(branch=branch, n=0)
-        if state.energy in probe.p.epsilons:
-            continue
-        try:
-            verdict = boundary_check(lambda x: probe.state(state))
-        except SingularWronskianError:
-            continue
-        if verdict == "physical":
-            return label
-    return "odd-base"
 
 
 def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationReport:
@@ -305,11 +280,10 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
 
     predicted = predict_added(plan)
     confirmed = []
-    branch = "odd-base"
-    if k >= 1 and not zeros:
-        # one table on PROBE_POINTS, up to order k, serves the branch choice and every candidate
+    branch = "even-base" if not zeros and _odd_seeds_added(plan.parities) else "odd-base"
+    if predicted and not zeros:
+        # one table on PROBE_POINTS, up to order k, serves every candidate
         probe = SeedTable(on_grid.p, PROBE_POINTS, k)
-        branch = _select_branch(probe)
         for j, eps in predicted:
             try:
                 verdict = boundary_check(lambda x: probe.added(j))

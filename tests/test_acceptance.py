@@ -4,7 +4,7 @@ Each test prints one PASS/FAIL line so the suite output doubles as an
 acceptance report.  Criteria cover the fourth-order class-A example with
 its closed-form potential and added states, the class-B example, the
 first-order isospectral cases, the floor(k/2) bound over random plans,
-the parity algebra against a brute-force permutation simulation,
+the origin-exponent rule against a brute-force permutation simulation,
 singularity detection, and numerical hygiene of the special-function and
 eigensolver layers.
 """
@@ -17,7 +17,6 @@ import pytest
 
 from susyq.design import (
     IntervalClass,
-    candidate_parity_physical,
     make_plan,
     parity_assignment,
     predict_added,
@@ -192,23 +191,35 @@ def brute_force_parity(parities):
 
 
 def test_criterion_7_parity_algebra_equivalence():
+    # the old parity rule, by permutation simulation, against the origin-exponent count of
+    # predict_added, candidate by candidate, on plans over A0 and B0 (odd k allowed there)
     mismatches = 0
     checked = 0
     for kind in ("A", "B"):
+        lo, hi = (-4.0, 0.5) if kind == "A" else (0.5, 1.5)
         for k in range(1, 9):
             parities = parity_assignment(k, kind)
+            plan = make_plan(tuple(lo + (hi - lo) * i / (k + 1) for i in range(1, k + 1)))
             pw = brute_force_parity(parities)
+            added_parity = ODD if k % 2 == 1 and kind == "A" else EVEN
+            physical = []
             for j in range(1, k + 1):
                 minor = [p for i, p in enumerate(parities, start=1) if i != j]
                 pminor = brute_force_parity(minor) if minor else 1
                 if pw == 1:
-                    expected = pminor == -1
+                    ok = pminor == -1
                 else:
-                    expected = pminor == -1 and int(parities[j - 1]) == 1
+                    ok = pminor == -1 and int(parities[j - 1]) == 1
+                if ok and parities[j - 1] is added_parity:
+                    physical.append(j)
+            n_even = sum(p is EVEN for p in parities)
+            simulated = physical[: min(k // 2, min(n_even, k - n_even) + k % 2)]
+            predicted = [j for j, _ in predict_added(plan)]
+            for j in range(1, k + 1):
                 checked += 1
-                if candidate_parity_physical(parities, j) != expected:
+                if (j in simulated) != (j in predicted):
                     mismatches += 1
-    report(7, "rule classification equals permutation simulation for k <= 8",
+    report(7, "origin-exponent rule equals permutation simulation for k <= 8",
            mismatches == 0 and checked == 72, f"{checked} candidates, {mismatches} mismatches")
 
 
