@@ -7,7 +7,10 @@ The direct Taylor series
 has all terms of one sign (beyond the first few) for z >= 0 and real a,
 so it is summed directly there; for z < 0 the alternating series is
 catastrophically ill-conditioned and the Kummer reflection
-1F1(a, b; z) = e^z * 1F1(b - a, b; -z) is applied instead.
+1F1(a, b; z) = e^z * 1F1(b - a, b; -z) is applied instead.  Both M and
+z M' are read there from the one series at (b - a, b + 1; w), w = -z:
+M = e^z [M(b - a, b + 1, w) + w M'(b - a, b + 1, w) / b] and
+z M' = z (a / b) e^z M(b - a, b + 1, w), a product with nothing to cancel.
 
 One kernel sums the series over a (rows, points) grid, row r holding the
 parameters (a_r, b_r) at every point z.  All entries advance together
@@ -23,6 +26,16 @@ the series peak near n ~ z) and both |t| <= eps |M| and n |t| <= eps |z M'|,
 or where its term is an exact zero.  Stopped entries leave the loop, so
 every value depends on its own (a, b, z) alone, bitwise, and never on the
 other rows or points of the call.
+
+A block of BLOCK terms is summed one of two ways, with the same products
+and adds in the same order.  A call with at most FOLD_ENTRIES live entries
+(a point query) folds the whole block with np.multiply.accumulate and
+np.add.accumulate down the term axis, a few numpy calls a block; a wider
+one (a grid table) steps term by term, a few numpy calls a term, because
+accumulate along an axis costs several times an elementwise pass per
+element.  Both stop every entry at the same block.  The block-end test is
+skipped while the block's last n is below every live z and no live term is
+zero, since then it would stop no entry.
 
 For negative non-integer a the first few terms still alternate and can
 tower over a small result (a = -5.3, z = 16 peaks near 1e4 on a value of
@@ -44,6 +57,9 @@ from .errors import ConvergenceError, InvalidParameterError
 TERM_CAP = 10_000
 BLOCK = 16  # terms between two convergence tests of the live entries
 CHUNK = 1 << 14  # most ratio * z values held at once, 256 kB in longdouble
+# most live entries folded by accumulate, which loses to the loop from about 150 entries in float64
+# and 250 in longdouble
+FOLD_ENTRIES = 192
 
 
 def _is_nonpositive_int(v: float) -> bool:
@@ -69,33 +85,53 @@ def _rows(a, b, z, tol, work):
     total = np.ones(pos.size, dtype=work)
     zderiv = np.zeros(pos.size, dtype=work)
     offsets = a.size * np.arange(BLOCK)[:, None]  # of each term's rows in the raveled ratios
+    zmin = zs.min(initial=np.inf)  # below it no live entry can pass the test but by a zero term
     for start in range(0, TERM_CAP, BLOCK):
         if not pos.size:
             break
-        ns = np.arange(start, start + BLOCK)
-        terms = ns[:, None]
+        ns = np.arange(start, start + BLOCK, dtype=work)
+        weights = ns + 1
         # (a + n) / ((b + n)(n + 1)) by term, row: t_{n+1} = t_n * ratio * z
-        ratios = ((a + terms) / ((b + terms) * (terms + 1))).ravel()
-        weights = (ns + 1).astype(work)
-        # ratio * z by term and entry, a few terms at a time so that this stays under CHUNK values;
-        # one flat gather of the raveled [term, row] table, which a 2-D fancy index costs twice
-        step = max(1, CHUNK // pos.size)
-        for first in range(0, BLOCK, step):
-            factors = ratios.take(offsets[first : first + step] + row) * zs
-            for factor, weight in zip(factors, weights[first:]):
-                term *= factor
-                total += term
-                zderiv += weight * term
+        ratios = ((a + ns[:, None]) / ((b + ns[:, None]) * weights[:, None])).ravel()
+        if pos.size <= FOLD_ENTRIES:
+            # the block's BLOCK steps as left folds down axis 0 (accumulate is the sequential
+            # loop), so the same products and adds in the same order as the loop below: the
+            # terms, then total and z M' with the running sums added into row 0
+            block = ratios.take(offsets + row) * zs
+            block[0] *= term
+            np.multiply.accumulate(block, axis=0, out=block)
+            sums = block.copy()
+            sums[0] += total
+            zsums = weights[:, None] * block
+            zsums[0] += zderiv
+            np.add.accumulate(sums, axis=0, out=sums)
+            np.add.accumulate(zsums, axis=0, out=zsums)
+            term, total, zderiv = block[-1], sums[-1], zsums[-1]
+        else:
+            # ratio * z by term and entry, a few terms at a time so that this stays under CHUNK
+            # values; one flat gather of the raveled [term, row] table, which a 2-D fancy index
+            # costs twice
+            step = max(1, CHUNK // pos.size)
+            for first in range(0, BLOCK, step):
+                factors = ratios.take(offsets[first : first + step] + row) * zs
+                for factor, weight in zip(factors, weights[first:]):
+                    term *= factor
+                    total += term
+                    zderiv += weight * term
         n = ns[-1]
+        if n < zmin and term.all():  # the test below would stop no entry
+            continue
         mag = np.abs(term)
         done = (term == 0) | ((n >= zs) & (mag <= tol * np.abs(total))
                               & ((n + 1) * mag <= tol * np.abs(zderiv)))
         if done.any():
-            out[0, row[done], pos[done]] = total[done]
-            out[1, row[done], pos[done]] = zderiv[done]
+            stopped = row[done], pos[done]
+            out[0][stopped] = total[done]
+            out[1][stopped] = zderiv[done]
             live = ~done
             row, pos, zs = row[live], pos[live], zs[live]
             term, total, zderiv = term[live], total[live], zderiv[live]
+            zmin = zs.min(initial=np.inf)
     if pos.size:
         raise ConvergenceError(
             f"1F1 series did not converge within {TERM_CAP} terms "
@@ -129,10 +165,16 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
         out = _rows(a, b, z, tol, work).astype(dtype, copy=False)
     else:
         out = np.empty((2, a.size, z.size), dtype=dtype)
-        # M(a, b, z) = e^z M(b - a, b, w) with w = -z, so z M'(a, b, z) = z M + e^z (w M')(b - a, b, w)
-        m, wm = np.exp(z[neg]) * _rows(b - a, b, -z[neg], tol, work)
-        out[0][:, neg] = m
-        out[1][:, neg] = z[neg] * m + wm
+        # M(a, b, z) = e^z M(b - a, b, w) with w = -z, from one series at b + 1, as b_ladder's
+        # top step: M(b - a, b, w) = M(b - a, b + 1, w) + w M'(b - a, b + 1, w) / b.  And
+        # z M'(a, b, z) = z (a / b) M(a + 1, b + 1, z) = z (a / b) e^z M(b - a, b + 1, w), a
+        # product, where z M + e^z (w M')(b - a, b, w) would cancel
+        aw, bw = a.astype(work), b.astype(work)
+        zw = z[neg].astype(work)
+        m, wm = _rows(bw - aw, bw + 1, -zw, tol, work)
+        ez = np.exp(zw)
+        out[0][:, neg] = ez * (m + wm / bw[:, None])
+        out[1][:, neg] = zw * ez * (aw / bw)[:, None] * m
         pos = ~neg
         if pos.any():
             out[:, :, pos] = _rows(a, b, z[pos], tol, work)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyq.errors import InvalidParameterError
-from susyq.kummer import b_ladder, kummer_m, kummer_m_deriv
+from susyq.kummer import FOLD_ENTRIES, TERM_CAP, b_ladder, kummer_m, kummer_m_deriv
 from susyq.oracle import Grid
 
 
@@ -125,17 +125,48 @@ def test_deriv_rejects_bad_shifted_b():
         kummer_m_deriv(1.0, -1.0, 1.0, n=2)
 
 
+def _same_bits(x, y):
+    """Equal values and signs: the same bits, without reading a longdouble's padding bytes."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 def test_point_alone_equals_the_point_in_a_grid_batch():
-    # every entry stops on its own, so no other point or row of a call moves its value
+    # every entry stops on its own, at the same block whichever way its blocks are summed: by
+    # accumulate in a call of at most FOLD_ENTRIES live entries, term by term in a wider one.  So
+    # no other point or row of a call moves its value.  Seed tables of float64 plans sum in float64
     z = Grid().closed_points ** 2
     picks = list(range(0, z.size, 97)) + [z.size - 2, z.size - 1]
-    for a in (0.3, -2.7, -5.0, 1.25):
-        batch = kummer_m(a, 0.5, z)
-        for i in picks:
-            assert kummer_m(a, 0.5, z[i]) == batch[i]
-    rows = kummer_m(np.array([0.3, -2.7, 1.3]), np.array([0.5, 1.5, 1.5]), z)
-    assert rows.shape == (3, z.size)
-    assert rows[1].tobytes() == kummer_m(-2.7, 1.5, z).tobytes()
+    for work in (np.longdouble, np.float64):
+        for a in (0.3, -2.7, -5.0, 1.25):
+            batch = kummer_m(a, 0.5, z, work=work)
+            for i in picks:
+                assert kummer_m(a, 0.5, z[i], work=work) == batch[i]
+        rows = kummer_m(np.array([0.3, -2.7, 1.3]), np.array([0.5, 1.5, 1.5]), z, work=work)
+        assert rows.shape == (3, z.size)
+        assert rows[1].tobytes() == kummer_m(-2.7, 1.5, z, work=work).tobytes()
+        # the top rows of a seed table's two branches (b = 1/2 + top and 3/2 + top), as
+        # seeds.kummer_frame sums them in dtype, in calls of FOLD_ENTRIES and FOLD_ENTRIES + 1
+        top = 6
+        for a, b in ((-0.45, 0.5 + top), (-1.2, 1.5 + top), (2.3, 0.5 + top), (0.05, 1.5 + top)):
+            for entries in (FOLD_ENTRIES, FOLD_ENTRIES + 1):
+                zs = z[np.linspace(0, z.size - 1, entries).astype(int)].astype(work)
+                m, zm = kummer_m(a, b, zs, dtype=work, zderiv=True, work=work)
+                for i in range(entries):
+                    alone = kummer_m(a, b, zs[i : i + 1], dtype=work, zderiv=True, work=work)
+                    assert _same_bits(alone[0][0], m[i]) and _same_bits(alone[1][0], zm[i])
+
+
+def test_terminating_series_stops_on_its_zero_term_beyond_the_term_cap():
+    # a = -2 ends the series at its z^2 term, 1 - 4z + 4z^2/3, at z beyond TERM_CAP, where no
+    # block reaches n >= z: the entry stops on its zero term, alone and beside a point that
+    # stops at n >= z
+    z = 20000.0
+    assert z > TERM_CAP
+    want = 1 - 4 * Fraction(z) + Fraction(4, 3) * Fraction(z) ** 2
+    alone = kummer_m(-2, 0.5, z, dtype=np.longdouble)
+    assert abs(Fraction(*alone.as_integer_ratio()) - want) <= np.finfo(np.longdouble).eps * want
+    pair = kummer_m(-2, 0.5, np.array([0.25, z]), dtype=np.longdouble)
+    assert _same_bits(pair, [kummer_m(-2, 0.5, 0.25, dtype=np.longdouble), alone])
 
 
 def _ld_mpf(mpmath, v):
@@ -173,3 +204,22 @@ def test_deriv_forms_the_shifted_parameters_exactly(n, monkeypatch):
             got = kummer_m_deriv(a, b, z, n=n, dtype=np.longdouble)
             want = mpmath.diff(lambda t: mpmath.hyp1f1(a, b, t), z, n)
             assert abs(_ld_mpf(mpmath, got) - want) <= 1e-17 * abs(want)
+
+
+def test_reflected_series_at_negative_z_matches_mpmath(monkeypatch):
+    # at z < 0, with w = -z, M and z M' are read from one series at (b - a, b + 1; w):
+    # M = e^z [M(b - a, b + 1, w) + w M'(b - a, b + 1, w) / b] and
+    # z M' = z (a / b) e^z M(b - a, b + 1, w), e^z in extended precision.  z M' formed as
+    # z M + e^z (w M')(b - a, b, w) cancels, by up to 4e4 ulp on these samples; M with e^z in
+    # float64 is off by up to 15 ulp.  Both are within 1.3 ulp of mpmath over six sample seeds
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mpmath.mp, "dps", 40)
+    rng = np.random.default_rng(24)
+    n = 400
+    a, b, z = rng.uniform(-3, 3, n), rng.choice([0.5, 1.5, 2.5, 7.5], n), rng.uniform(-60, -0.1, n)
+    for ai, bi, zi in zip(a, b, z):
+        m, zm = kummer_m(ai, bi, zi, zderiv=True)
+        A, B, Z = mpmath.mpf(ai), mpmath.mpf(bi), mpmath.mpf(zi)
+        want_zm = Z * A / B * mpmath.hyp1f1(A + 1, B + 1, Z)
+        for got, want in ((m, mpmath.hyp1f1(A, B, Z)), (zm, want_zm)):
+            assert abs(got - want) <= 2 * np.spacing(abs(float(want)))
