@@ -27,15 +27,22 @@ or where its term is an exact zero.  Stopped entries leave the loop, so
 every value depends on its own (a, b, z) alone, bitwise, and never on the
 other rows or points of the call.
 
-A block of BLOCK terms is summed one of two ways, with the same products
-and adds in the same order.  A call with at most FOLD_ENTRIES live entries
-(a point query) folds the whole block with np.multiply.accumulate and
-np.add.accumulate down the term axis, a few numpy calls a block; a wider
-one (a grid table) steps term by term, a few numpy calls a term, because
-accumulate along an axis costs several times an elementwise pass per
-element.  Both stop every entry at the same block.  The block-end test is
-skipped while the block's last n is below every live z and no live term is
-zero, since then it would stop no entry.
+A call with at most FOLD_ENTRIES live entries (a point query) sums a slab
+of several BLOCK-term blocks at once: np.multiply.accumulate and
+np.add.accumulate fold it down the term axis, a few numpy calls a slab.  A
+slab runs from the first unsummed term to about where the largest live z
+stops, z + 10 sqrt(z) terms (past the peak near n ~ z the terms fall like a
+Poisson tail), holds at most CHUNK values and ends by TERM_CAP.  The stop
+rule is then tested at all of the slab's block ends in one pass, each entry
+stopping at the first block end it passes; its terms past that are
+discarded.  A wider call (a grid table) steps term by term through one
+block, a few numpy calls a term, because accumulate along an axis costs
+several times an elementwise pass per element, and hands that block to the
+same test as a slab of one.  Accumulate is the sequential loop, so both
+ways make the same products and adds in the same order and stop every
+entry at the same block end with the same bits.  The test is skipped while
+the slab's last n is below every live z and no live term is zero, since
+then it would stop no entry.
 
 For negative non-integer a the first few terms still alternate and can
 tower over a small result (a = -5.3, z = 16 peaks near 1e4 on a value of
@@ -50,6 +57,8 @@ the term recurrence hits an exact zero and the sum is the polynomial value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
@@ -57,13 +66,29 @@ from .errors import ConvergenceError, InvalidParameterError
 TERM_CAP = 10_000
 BLOCK = 16  # terms between two convergence tests of the live entries
 CHUNK = 1 << 14  # most ratio * z values held at once, 256 kB in longdouble
-# most live entries folded by accumulate, which loses to the loop from about 150 entries in float64
-# and 250 in longdouble
+# most live entries folded in slabs.  Timed against the term loop on calls of 3 rows, the fold
+# loses from about 250 entries in float64 and 400 in longdouble when every entry stops in its first
+# block (z <= 1), and from about 450 and 250-300 with z = x^2 spread up to 90 (x < 9.5)
 FOLD_ENTRIES = 192
 
 
 def _is_nonpositive_int(v: float) -> bool:
     return v <= 0 and float(v) == int(v)
+
+
+def _require_finite(**args):
+    """Reject a non-finite value of any argument, which no series could sum."""
+    for name, v in args.items():
+        if not np.isfinite(v).all():
+            raise InvalidParameterError(f"1F1 undefined for a non-finite {name}")
+
+
+def _slab_blocks(start, zmax, entries):
+    """Blocks of the next slab: to where the largest live z stops, within CHUNK values and TERM_CAP."""
+    # terms decay past the peak near n ~ z like a Poisson tail, below 1e-19 of the sum by about
+    # n = z + 10 sqrt(z); a smaller slab only costs a second one, a larger one only terms
+    reach = int(zmax + 10 * math.sqrt(zmax)) - start
+    return max(1, min(reach // BLOCK + 1, CHUNK // (BLOCK * entries), (TERM_CAP - start) // BLOCK))
 
 
 def _rows(a, b, z, tol, work):
@@ -84,51 +109,61 @@ def _rows(a, b, z, tol, work):
     term = np.ones(pos.size, dtype=work)
     total = np.ones(pos.size, dtype=work)
     zderiv = np.zeros(pos.size, dtype=work)
-    offsets = a.size * np.arange(BLOCK)[:, None]  # of each term's rows in the raveled ratios
     zmin = zs.min(initial=np.inf)  # below it no live entry can pass the test but by a zero term
-    for start in range(0, TERM_CAP, BLOCK):
-        if not pos.size:
-            break
-        ns = np.arange(start, start + BLOCK, dtype=work)
+    ends = slice(BLOCK - 1, None, BLOCK)  # a slab's block ends, by term
+    start = 0
+    while pos.size and start < TERM_CAP:
+        fold = pos.size <= FOLD_ENTRIES
+        blocks = _slab_blocks(start, zs.max(), pos.size) if fold else 1
+        ns = np.arange(start, start + BLOCK * blocks, dtype=work)
+        start += ns.size
         weights = ns + 1
         # (a + n) / ((b + n)(n + 1)) by term, row: t_{n+1} = t_n * ratio * z
-        ratios = ((a + ns[:, None]) / ((b + ns[:, None]) * weights[:, None])).ravel()
-        if pos.size <= FOLD_ENTRIES:
-            # the block's BLOCK steps as left folds down axis 0 (accumulate is the sequential
-            # loop), so the same products and adds in the same order as the loop below: the
-            # terms, then total and z M' with the running sums added into row 0
-            block = ratios.take(offsets + row) * zs
-            block[0] *= term
-            np.multiply.accumulate(block, axis=0, out=block)
-            sums = block.copy()
-            sums[0] += total
-            zsums = weights[:, None] * block
-            zsums[0] += zderiv
-            np.add.accumulate(sums, axis=0, out=sums)
-            np.add.accumulate(zsums, axis=0, out=zsums)
-            term, total, zderiv = block[-1], sums[-1], zsums[-1]
+        ratios = (a + ns[:, None]) / ((b + ns[:, None]) * weights[:, None])
+        if fold:
+            # the slab's steps as left folds down axis 0 (accumulate is the sequential loop), so
+            # the same products and adds in the same order as the loop below: the terms, then
+            # total and z M' with the running sums added into row 0
+            terms = ratios.take(row, axis=1) * zs
+            terms[0] *= term
+            np.multiply.accumulate(terms, axis=0, out=terms)
+            totals = terms.copy()
+            totals[0] += total
+            zderivs = weights[:, None] * terms
+            zderivs[0] += zderiv
+            np.add.accumulate(totals, axis=0, out=totals)
+            np.add.accumulate(zderivs, axis=0, out=zderivs)
+            terms, totals, zderivs = terms[ends], totals[ends], zderivs[ends]
         else:
             # ratio * z by term and entry, a few terms at a time so that this stays under CHUNK
-            # values; one flat gather of the raveled [term, row] table, which a 2-D fancy index
-            # costs twice
+            # values
             step = max(1, CHUNK // pos.size)
             for first in range(0, BLOCK, step):
-                factors = ratios.take(offsets[first : first + step] + row) * zs
+                factors = ratios[first : first + step].take(row, axis=1) * zs
                 for factor, weight in zip(factors, weights[first:]):
                     term *= factor
                     total += term
                     zderiv += weight * term
-        n = ns[-1]
-        if n < zmin and term.all():  # the test below would stop no entry
+            terms, totals, zderivs = term[None], total[None], zderiv[None]
+        term, total, zderiv = terms[-1], totals[-1], zderivs[-1]
+        if ns[-1] < zmin and term.all():  # the test below would stop no entry
             continue
-        mag = np.abs(term)
-        done = (term == 0) | ((n >= zs) & (mag <= tol * np.abs(total))
-                              & ((n + 1) * mag <= tol * np.abs(zderiv)))
-        if done.any():
-            stopped = row[done], pos[done]
-            out[0][stopped] = total[done]
-            out[1][stopped] = zderiv[done]
-            live = ~done
+        # every block end of the slab at once; an entry stops at the first one it passes
+        n = ns[ends, None]
+        mag = np.abs(terms)
+        done = (terms == 0) | ((n >= zs) & (mag <= tol * np.abs(totals))
+                               & ((n + 1) * mag <= tol * np.abs(zderivs)))
+        stop = done.any(axis=0)
+        stopped = np.flatnonzero(stop)
+        if stopped.size:
+            # that block end as an index into the raveled (block end, entry) arrays; argmax down
+            # axis 0 costs about 8 ns a column, which a slab of one block (a grid's) need not pay
+            at = stopped + stop.size * done[:, stopped].argmax(axis=0) if len(n) > 1 else stopped
+            out[0][row[stopped], pos[stopped]] = totals.take(at)
+            out[1][row[stopped], pos[stopped]] = zderivs.take(at)
+            if stopped.size == stop.size:
+                return out
+            live = ~stop
             row, pos, zs = row[live], pos[live], zs[live]
             term, total, zderiv = term[live], total[live], zderiv[live]
             zmin = zs.min(initial=np.inf)
@@ -148,15 +183,17 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
     With zderiv the result is the pair (M, z M'), z M' = z d/dz 1F1 summed
     from the same terms.  The series accumulates in work (extended precision
     unless a caller asks for its output dtype) and rounds once to dtype.
-    Raises InvalidParameterError when b is a non-positive integer and
-    ConvergenceError when the series fails to meet tolerance.
+    Raises InvalidParameterError when any of a, b and z is not finite or b is
+    a non-positive integer, and ConvergenceError when the series fails to
+    meet tolerance.
     """
     rows = np.ndim(a) > 0 or np.ndim(b) > 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    z = np.asarray(z, dtype=dtype)
+    _require_finite(a=a, b=b, z=z)
     for v in b:
         if _is_nonpositive_int(v):
             raise InvalidParameterError(f"1F1 undefined for b = {v} (non-positive integer)")
-    z = np.asarray(z, dtype=dtype)
     shape = z.shape
     z = z.ravel()
     tol = np.finfo(dtype).eps
@@ -222,6 +259,7 @@ def kummer_m_deriv(a: float, b: float, z, n: int = 1, dtype=np.float64):
     if n < 0:
         raise InvalidParameterError("derivative order must be non-negative")
     a, b = np.longdouble(a), np.longdouble(b)
+    _require_finite(a=a, b=b)
     coeff = dtype(1)
     for i in range(n):
         if _is_nonpositive_int(b + i):

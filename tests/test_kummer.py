@@ -1,12 +1,16 @@
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyq.errors import InvalidParameterError
-from susyq.kummer import FOLD_ENTRIES, TERM_CAP, b_ladder, kummer_m, kummer_m_deriv
+from susyq.errors import ConvergenceError, InvalidParameterError
+from susyq.kummer import (
+    BLOCK, FOLD_ENTRIES, TERM_CAP, _slab_blocks, b_ladder, kummer_m, kummer_m_deriv,
+)
 from susyq.oracle import Grid
 
 
@@ -36,6 +40,25 @@ def test_rejects_nonpositive_integer_b():
     for b in (0.0, -1.0, -2.0, -7.0):
         with pytest.raises(InvalidParameterError):
             kummer_m(1.0, b, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["a", "b", "z"])
+def test_rejects_non_finite_arguments_before_any_series(bad, where):
+    # a non-finite z would run every TERM_CAP terms and a = inf return inf; b = -inf would reach
+    # int(-inf) in the non-positive-integer check
+    good = {"a": 0.5, "b": 1.5, "z": 2.0}
+    for arrays in (False, True):
+        args = dict(good, **{where: bad})
+        if arrays:
+            args[where] = np.array([good[where], bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match=f"non-finite {where}"):
+                kummer_m(args["a"], args["b"], args["z"], zderiv=True)
+            if where != "z" and not arrays:
+                with pytest.raises(InvalidParameterError, match=f"non-finite {where}"):
+                    kummer_m_deriv(args["a"], args["b"], 2.0, n=1)
 
 
 def test_array_input_shape():
@@ -158,15 +181,71 @@ def test_point_alone_equals_the_point_in_a_grid_batch():
 
 def test_terminating_series_stops_on_its_zero_term_beyond_the_term_cap():
     # a = -2 ends the series at its z^2 term, 1 - 4z + 4z^2/3, at z beyond TERM_CAP, where no
-    # block reaches n >= z: the entry stops on its zero term, alone and beside a point that
-    # stops at n >= z
+    # block reaches n >= z: the entry stops on its zero term, at the first block end of a slab
+    # of every TERM_CAP terms, alone and beside a point that stops at n >= z
     z = 20000.0
-    assert z > TERM_CAP
+    assert z > TERM_CAP and _slab_blocks(0, z, 1) * BLOCK == TERM_CAP
     want = 1 - 4 * Fraction(z) + Fraction(4, 3) * Fraction(z) ** 2
     alone = kummer_m(-2, 0.5, z, dtype=np.longdouble)
     assert abs(Fraction(*alone.as_integer_ratio()) - want) <= np.finfo(np.longdouble).eps * want
     pair = kummer_m(-2, 0.5, np.array([0.25, z]), dtype=np.longdouble)
     assert _same_bits(pair, [kummer_m(-2, 0.5, 0.25, dtype=np.longdouble), alone])
+
+
+def _series(a, b, z, tol, work):
+    """(M, z M', n) for one entry, term by term: the kernel's recurrence and stop rule, n its last term."""
+    a, b, z = work(a), work(b), work(z)
+    term, total, zderiv = work(1), work(1), work(0)
+    for n in range(TERM_CAP):
+        weight = work(n + 1)
+        term = term * ((a + n) / ((b + n) * weight) * z)
+        total = total + term
+        zderiv = zderiv + weight * term
+        if n % BLOCK == BLOCK - 1 and (term == 0 or (
+                n >= z and abs(term) <= tol * abs(total) and weight * abs(term) <= tol * abs(zderiv))):
+            return total, zderiv, n
+    raise ConvergenceError(f"no stop within {TERM_CAP} terms")
+
+
+def _check_against_series(a, b, z, work):
+    """kummer_m's rows (a, b) at z >= 0, summed and rounded in work, bit for bit against _series."""
+    m, zm = kummer_m(a, b, z, dtype=work, zderiv=True, work=work)
+    stops = np.empty(m.shape, dtype=int)
+    for (r, i), _ in np.ndenumerate(m):
+        want_m, want_zm, stops[r, i] = _series(a[r], b[r], z[i], np.finfo(work).eps, work)
+        assert _same_bits(m[r, i], want_m) and _same_bits(zm[r, i], want_zm), (a[r], b[r], z[i])
+    return stops // BLOCK
+
+
+def test_kernel_matches_a_scalar_series_bit_for_bit():
+    # calls of 1 to 400 entries: the term-by-term loop (more than FOLD_ENTRIES live entries),
+    # folds of one block and slabs of several, stops on a zero term among them
+    rng = np.random.default_rng(25)
+    for work in (np.float64, np.longdouble):
+        for rows, points, zmax in ((1, 1, 150), (1, 6, 1), (2, 1, 20), (3, 40, 150), (2, 96, 20),
+                                   (4, 100, 1), (4, 100, 150)):
+            a = rng.uniform(-6, 6, rows)
+            a[rng.random(rows) < 0.3] = -rng.integers(0, 5)
+            b = rng.choice([0.5, 1.5, 2.5, 6.5, 10.5], rows)
+            _check_against_series(a, b, rng.uniform(0, zmax, points), work)
+
+
+@pytest.mark.parametrize("work", [np.float64, np.longdouble])
+def test_entries_stop_in_every_block_of_a_slab(work):
+    # a slab runs to about where its largest z stops; M(1/2, 1/2; z) = e^z stops in its first,
+    # a middle and its last block at z = 0.01, 40 and 90, and M(40, 1/2; 90) only in the next slab
+    a, b, z = np.array([0.5, 40.0]), np.array([0.5, 0.5]), np.array([0.01, 40.0, 90.0])
+    stops = _check_against_series(a, b, z, work)
+    last = _slab_blocks(0, z.max(), z.size * a.size) - 1
+    assert stops[0, 0] == 0 < stops[0, 1] < stops[0, 2] == last < stops[1, 2]
+
+
+def test_series_past_the_term_cap_fails_at_once():
+    # z = 9800 needs about z + 10 sqrt(z) terms, more than TERM_CAP; z = 2e4 would overflow e^z
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        kummer_m(0.5, 0.5, 9800.0, dtype=np.longdouble)
+    assert time.perf_counter() - start < 1.0
 
 
 def _ld_mpf(mpmath, v):
