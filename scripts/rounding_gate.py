@@ -1,4 +1,4 @@
-"""Rounding gate: outputs of the benchmark's `run` and `spectrum` configs, and a comparison of two such trees.
+"""Rounding gate: outputs of the benchmark's configs and point queries, and a comparison of two such trees.
 
     python scripts/rounding_gate.py write OUT --seeds 3 7 11 [--src SRC]
     python scripts/rounding_gate.py compare OLD NEW [--tol TOL]
@@ -7,24 +7,29 @@
 problem, valid orders 1-6, three rule-breaking plans and the order-8
 known-failure plan) and `susyq spectrum` on its 6 `spectrum_sweep` configs
 (the base problem and two order-4 partners, on 4000 and 8000 points, 20
-levels), as perfbench/workloads.py draws them; that file is only read.
-susyq is imported from SRC (default: this checkout's src), so the same
-script writes the trees of two source trees.  OUT/<seed>/<plan>/ holds each
-run's report.json, potential.csv and states.csv (a spectrum config's
-report.json only), and OUT/exit_codes.json every exit code.
+levels), and evaluates its `point_queries` pool (partner_v, added_state
+and transformed_eigenfunction at 1-64 points on its plans of order 1-6), as
+perfbench/workloads.py draws them; that file is only read.  susyq is
+imported from SRC (default: this checkout's src), so the same script writes
+the trees of two source trees.  OUT/<seed>/<plan>/ holds each run's
+report.json, potential.csv and states.csv (a spectrum config's report.json
+only), OUT/<seed>/point_queries.npz each query's result, and
+OUT/exit_codes.json every exit code.
 
 `compare` prints, per plan, any difference in exit code, `validation` block
 (`wronskian_zeros` included), `predicted_added` or states.csv header, and
 the largest differences of the oracle levels (the spectrum reports'
 included), of Vtilde in potential.csv, of the states in states.csv
-(relative to each column's largest magnitude) and of the residuals.  It
-also counts the report.json, potential.csv and states.csv files that are
-byte-identical.  It exits 1 when an exit code, a `validation` block,
-`predicted_added` or a states.csv header differs, or, with --tol, when a
-level, Vtilde or a state differs by more than TOL, and with --tol 0 also
-when a report.json, potential.csv or states.csv written on both sides is
-not byte-identical, so that no field of a report (`error`, `checks`,
-`oracle.grid`, the residuals) may differ; otherwise 0.
+(relative to each column's largest magnitude), of the residuals and of the
+point queries (relative to each query's largest magnitude).  It also counts
+the report.json, potential.csv and states.csv files and the point-query
+arrays that are byte-identical.  It exits 1 when an exit code, a
+`validation` block, `predicted_added`, a states.csv header or a point
+query's shape differs, or, with --tol, when a level, Vtilde, a state or a
+point query differs by more than TOL, and with --tol 0 also when a
+report.json, potential.csv, states.csv or point-query array written on both
+sides is not byte-identical, so that no field of a report (`error`,
+`checks`, `oracle.grid`, the residuals) may differ; otherwise 0.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ def write(out: Path, seeds, src: Path) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import susyq
     import susyq.cli
-    from workloads import Pipeline, SpectrumSweep
+    from workloads import Pipeline, PointQueries, SpectrumSweep
 
     codes = {}
     for seed in seeds:
@@ -58,8 +63,13 @@ def write(out: Path, seeds, src: Path) -> int:
         for command, case in runs:
             with contextlib.redirect_stderr(io.StringIO()):
                 codes[f"{seed}/{case.name}"] = susyq.cli.main([command, str(case.config)])
+        queries = PointQueries(susyq, seed, workdir).queries
+        results = {f"q{i:03d}_{func}": np.atleast_1d(getattr(susyq, func)(*args))
+                   for i, (func, *_, args) in enumerate(queries)}
+        np.savez(workdir / "point_queries.npz", **results)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(codes)} runs under {out} with susyq from {Path(susyq.__file__).parent}")
+    print(f"wrote {len(codes)} runs and {len(seeds)} point-query pools under {out} "
+          f"with susyq from {Path(susyq.__file__).parent}")
     return 0
 
 
@@ -80,6 +90,24 @@ def _largest(diffs):
     """(value, plan) of the largest difference; (0.0, '-') when nothing differs."""
     value, where = max(diffs, key=lambda d: d[0], default=(0.0, "-"))
     return (value, where) if value else (0.0, "-")
+
+
+def _point_queries(old: Path, new: Path, seeds, mismatches, identical):
+    """(largest difference, query) of each seed's point queries; counts the byte-identical arrays."""
+    diffs = []
+    for seed in seeds:
+        with np.load(old / seed / "point_queries.npz") as qa, np.load(new / seed / "point_queries.npz") as qb:
+            for name in qa.files:
+                a, b = qa[name], qb[name]
+                identical[1] += 1
+                if a.dtype != b.dtype or a.shape != b.shape:
+                    mismatches.append(f"{seed}/{name}: {a.dtype} {a.shape} -> {b.dtype} {b.shape}")
+                    continue
+                identical[0] += a.tobytes() == b.tobytes()
+                scale = np.abs(a).max(initial=0.0)
+                diffs.append((float(np.abs(a - b).max(initial=0.0) / (scale if scale > 0 else 1.0)),
+                              f"{seed}/{name}"))
+    return diffs
 
 
 def compare(old: Path, new: Path, tol) -> int:
@@ -123,33 +151,37 @@ def compare(old: Path, new: Path, tol) -> int:
                 count[1] += 1
         ra, rb = a.get("residuals", {}), b.get("residuals", {})
         residuals += [(abs(ra[e] - rb[e]), f"{plan} {e}") for e in ra.keys() & rb.keys()]
+    identical["point-query array"] = [0, 0]
+    seeds = sorted({plan.split("/")[0] for plan in codes_old.keys() & codes_new.keys()})
+    queries = _point_queries(old, new, seeds, mismatches, identical["point-query array"])
     for line in mismatches:
         print(f"mismatch: {line}")
-    print(f"{len(codes_new)} plans; exit codes, validation blocks, predicted_added and "
-          f"states.csv headers: {len(mismatches)} mismatches")
+    print(f"{len(codes_new)} plans; exit codes, validation blocks, predicted_added, "
+          f"states.csv headers and point-query shapes: {len(mismatches)} mismatches")
     for name, (same, both) in identical.items():
         print(f"{name}: {same} of {both} byte-identical")
     for name, diffs in (("oracle level (absolute)", levels),
                         ("Vtilde (relative to max(1, |Vtilde|))", vtilde),
                         ("state (relative to its column's max)", states),
-                        ("residual (absolute)", residuals)):
+                        ("residual (absolute)", residuals),
+                        ("point query (relative to its largest magnitude)", queries)):
         value, where = _largest(diffs)
         print(f"largest {name} difference: {value:.3g} ({where})")
-    over = tol is not None and max(_largest(d)[0] for d in (levels, vtilde, states)) > tol
+    over = tol is not None and max(_largest(d)[0] for d in (levels, vtilde, states, queries)) > tol
     if over:
-        print(f"a level, Vtilde or a state differs by more than {tol:g}")
+        print(f"a level, Vtilde, a state or a point query differs by more than {tol:g}")
     # equal values can still print differently, and a report holds more than the values compared
-    # above, so at --tol 0 the files must match byte for byte
+    # above, so at --tol 0 the files and arrays must match byte for byte
     unequal = tol == 0 and any(same != both for same, both in identical.values())
     if unequal:
-        print("a report.json, potential.csv or states.csv is not byte-identical")
+        print("a report.json, potential.csv, states.csv or point-query array is not byte-identical")
     return 1 if mismatches or over or unequal else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    w = sub.add_parser("write", help="write the run outputs of the pipeline plans of the given seeds")
+    w = sub.add_parser("write", help="write the run outputs and point-query results of the given seeds")
     w.add_argument("out", type=Path)
     w.add_argument("--seeds", type=int, nargs="+", required=True)
     w.add_argument("--src", type=Path, default=ROOT / "src", help="the source tree susyq is imported from")
@@ -157,9 +189,9 @@ def main(argv=None) -> int:
     c.add_argument("old", type=Path)
     c.add_argument("new", type=Path)
     c.add_argument("--tol", type=float, default=None,
-                   help="also fail when an oracle level, Vtilde or a state differs by more than this; "
-                        "at 0, also when a report.json, potential.csv or states.csv is not "
-                        "byte-identical")
+                   help="also fail when an oracle level, Vtilde, a state or a point query differs by "
+                        "more than this; at 0, also when a report.json, potential.csv, states.csv or "
+                        "point-query array is not byte-identical")
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out, args.seeds, args.src.resolve())

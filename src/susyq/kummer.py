@@ -168,6 +168,9 @@ def _rows(a, b, z, tol, work):
             term, total, zderiv = term[live], total[live], zderiv[live]
             zmin = zs.min(initial=np.inf)
     if pos.size:
+        if not np.isfinite(total).all():  # e^z alone passes the dtype's range from z = 709 (11356)
+            raise ConvergenceError(f"1F1 series beyond the range of {np.dtype(work).name} "
+                                   f"(max z={float(zs.max())})")
         raise ConvergenceError(
             f"1F1 series did not converge within {TERM_CAP} terms "
             f"(a={float(a[row[0]])}, b={float(b[row[0]])}, max z={float(zs.max())})"
@@ -185,7 +188,7 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
     unless a caller asks for its output dtype) and rounds once to dtype.
     Raises InvalidParameterError when any of a, b and z is not finite or b is
     a non-positive integer, and ConvergenceError when the series fails to
-    meet tolerance.
+    meet tolerance or its sum passes the range of work or dtype.
     """
     rows = np.ndim(a) > 0 or np.ndim(b) > 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
@@ -198,23 +201,29 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
     z = z.ravel()
     tol = np.finfo(dtype).eps
     neg = z < 0
-    if not neg.any():
-        out = _rows(a, b, z, tol, work).astype(dtype, copy=False)
-    else:
-        out = np.empty((2, a.size, z.size), dtype=dtype)
-        # M(a, b, z) = e^z M(b - a, b, w) with w = -z, from one series at b + 1, as b_ladder's
-        # top step: M(b - a, b, w) = M(b - a, b + 1, w) + w M'(b - a, b + 1, w) / b.  And
-        # z M'(a, b, z) = z (a / b) M(a + 1, b + 1, z) = z (a / b) e^z M(b - a, b + 1, w), a
-        # product, where z M + e^z (w M')(b - a, b, w) would cancel
-        aw, bw = a.astype(work), b.astype(work)
-        zw = z[neg].astype(work)
-        m, wm = _rows(bw - aw, bw + 1, -zw, tol, work)
-        ez = np.exp(zw)
-        out[0][:, neg] = ez * (m + wm / bw[:, None])
-        out[1][:, neg] = zw * ez * (aw / bw)[:, None] * m
-        pos = ~neg
-        if pos.any():
-            out[:, :, pos] = _rows(a, b, z[pos], tol, work)
+    # a sum beyond the range of work or dtype overflows without a warning and is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not neg.any():
+            out = _rows(a, b, z, tol, work)
+        else:
+            out = np.empty((2, a.size, z.size), dtype=work)
+            # M(a, b, z) = e^z M(b - a, b, w) with w = -z, from one series at b + 1, as b_ladder's
+            # top step: M(b - a, b, w) = M(b - a, b + 1, w) + w M'(b - a, b + 1, w) / b.  And
+            # z M'(a, b, z) = z (a / b) M(a + 1, b + 1, z) = z (a / b) e^z M(b - a, b + 1, w), a
+            # product, where z M + e^z (w M')(b - a, b, w) would cancel
+            aw, bw = a.astype(work), b.astype(work)
+            zw = z[neg].astype(work)
+            m, wm = _rows(bw - aw, bw + 1, -zw, tol, work)
+            ez = np.exp(zw)
+            out[0][:, neg] = ez * (m + wm / bw[:, None])
+            out[1][:, neg] = zw * ez * (aw / bw)[:, None] * m
+            pos = ~neg
+            if pos.any():
+                out[:, :, pos] = _rows(a, b, z[pos], tol, work)
+        for kind in (work, dtype):  # summed in work, rounded once to dtype
+            out = out.astype(kind, copy=False)
+            if not np.isfinite(out if zderiv else out[0]).all():  # z M' passes M's range first
+                raise ConvergenceError(f"1F1 beyond the range of {np.dtype(kind).name}")
     out = out.reshape((2,) + a.shape + shape)
     if not rows:
         out = out[:, 0]

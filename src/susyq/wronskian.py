@@ -27,18 +27,23 @@ with no numerical differentiation and no elimination beyond W's own.
 WronskianLU factors M once and keeps the stack it factored; it owns every
 read that needs only W: its sign and log, solves against M, y = M^{-1} e_k
 (solved once, shared by (ln W)'' and partner.SeedTable's candidates), and
-(ln W)'' itself.  The elimination runs in the dtype of the stack it is given:
-float64 for the seed tables of a plan whose probe showed that float64
-matches longdouble (partner.PartnerPotential.table_dtype), longdouble
-(WORK_DTYPE) otherwise; partner.SeedTable decides it, and this module's own
-functions always take longdouble.  No seeds is an empty stack, whose W is 1:
-sign 1, log 0, (ln W)'' = 0.
+(ln W)'' itself.  It eliminates by partial pivoting in the stack's own
+(row, column, point) layout, elementwise over the points, so a point alone
+has the same bits as in any batch, and swaps the row permutation alongside
+the rows as it pivots.  The elimination runs in the dtype of the stack it
+is given: float64 for the seed tables of a plan whose probe showed that
+float64 matches longdouble (partner.PartnerPotential.table_dtype),
+longdouble (WORK_DTYPE) otherwise; partner.SeedTable decides it, and this
+module's own functions always take longdouble.  No seeds is an empty stack,
+whose W is 1: sign 1, log 0, (ln W)'' = 0.
 
 det_orders takes any increasing orders, whose determinants are the
 derivatives of W(u), and reads them from the same Kummer-frame table.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,88 +56,70 @@ WORK_DTYPE = np.longdouble
 SINGULAR_FLOOR = 1e-300
 
 
-def _lu_batch(mats):
-    """(sign, log|det|, (lu, colscale, pivots)) of a (..., k, k) stack by LU with partial pivoting.
-
-    Columns are equilibrated by their max modulus first (tracked in the
-    log) so pivot selection is not skewed by the x^n growth of higher
-    derivative rows.  Works for any float dtype, unlike LAPACK.  Overwrites
-    mats where reshaping it to (points, k, k) is a view.  The factors, with
-    points flattened to the leading axis, satisfy P (mats / colscale) = L U:
-    lu holds U on and above the diagonal and L's multipliers below it, and
-    pivots[c] is the row swapped with row c at step c.
-    """
-    *lead, k, _ = mats.shape
-    sign = np.ones(lead, dtype=mats.dtype).ravel()  # it counts the points, which reshape(-1, 0, 0) cannot
-    npts = sign.size
-    a = mats.reshape(npts, k, k)
-    logd = np.zeros(npts, dtype=a.dtype)
-
-    # max |a| with no np.abs copy; the initial 0 changes no column and lets k = 0 reduce
-    colscale = np.maximum(a.max(axis=1, initial=0), -a.min(axis=1, initial=0))
-    zero_col = colscale == 0
-    sign[zero_col.any(axis=1)] = 0
-    colscale[colscale == 0] = 1
-    a /= colscale[:, None, :]
-    with np.errstate(divide="ignore"):
-        for c in range(k):  # column by column: sum(axis=1) orders its adds by batch size
-            logd += np.log(colscale[:, c])
-
-    rows = np.arange(npts)
-    pivots = []
-    for c in range(k):
-        piv = np.abs(a[:, c:, c]).argmax(axis=1) + c
-        pivots.append(piv)
-        swap = piv != c
-        sign[swap] = -sign[swap]
-        tmp = a[rows, piv].copy()
-        a[rows, piv] = a[:, c]
-        a[:, c] = tmp
-        p = a[:, c, c]
-        sign = sign * np.sign(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logd += np.log(np.abs(p))
-            if c + 1 < k:
-                f = a[:, c + 1 :, c]  # L's multipliers, written in place
-                np.divide(f, p[:, None], out=f)
-                f[p == 0] = 0
-                a[:, c + 1 :, c + 1 :] -= f[:, :, None] * a[:, None, c, c + 1 :]
-    logd[sign == 0] = -np.inf
-    return sign.reshape(lead), logd.reshape(lead), (a, colscale, pivots)
-
-
 class WronskianLU:
     """W's matrix M = [v_i of function j] (i = 0..k-1) of a stack, factored once at every point.
 
     sign and log are det M in (sign, log|det|) form; solve(b) is M^{-1} b by
     two triangular solves against the held factors.  The stack is kept and
     never written: log_w_second_deriv reads its orders k and k+1.
+
+    The factors come from LU with partial pivoting, which works for any float
+    dtype, unlike LAPACK.  It eliminates on a copy of M in the stack's own
+    (row, column, point) layout, so every slice is contiguous over the
+    points.  Columns are equilibrated by their max modulus first (tracked in
+    the log) so pivot selection is not skewed by the x^n growth of higher
+    derivative rows.  At every point M[perm] / colscale = L U: _lu holds U on
+    and above the diagonal and L's multipliers below it, and _perm, the row
+    order, is swapped alongside the rows at each pivot.
     """
 
     def __init__(self, stack):
         self.stack = stack
-        k = stack.shape[1]
-        # stack[list(...)] is a copy; the elimination runs in place and must not reach the stack
-        mats = np.moveaxis(stack[list(range(k))], (0, 1), (-2, -1))
-        self.sign, self.log, (lu, colscale, self._pivots) = _lu_batch(mats)
-        # (row, column, point) layout: every slice below is contiguous over the points
-        self._lu, self._colscale = np.moveaxis(lu, 0, -1), colscale.T
-        self._perm = self._last = None
+        k, shape = stack.shape[1], stack.shape[2:]
+        npts = math.prod(shape)  # reshape(0, 0, -1) cannot count the points
+        a = np.array(stack[:k]).reshape(k, k, npts)  # a copy: the elimination runs in place
+        sign = np.ones(npts, dtype=a.dtype)
+        logd = np.zeros(npts, dtype=a.dtype)
+
+        # max |a| with no np.abs copy; the initial 0 changes no column and lets k = 0 reduce
+        colscale = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
+        zero_col = colscale == 0
+        sign[zero_col.any(axis=0)] = 0
+        colscale[zero_col] = 1
+        a /= colscale
+        with np.errstate(divide="ignore"):
+            for c in range(k):  # column by column: sum(axis=0) orders its adds by batch size
+                logd += np.log(colscale[c])
+
+        cols = np.arange(npts)
+        perm = np.repeat(np.arange(k)[:, None], npts, axis=1)
+        for c in range(k):
+            piv = np.abs(a[c:, c]).argmax(axis=0) + c
+            swap = piv != c
+            sign[swap] = -sign[swap]
+            tmp, tmp_perm = a[piv, :, cols], perm[piv, cols]  # copies, as advanced indexing makes
+            a[piv, :, cols], perm[piv, cols] = a[c].T, perm[c]
+            a[c], perm[c] = tmp.T, tmp_perm
+            p = a[c, c]
+            sign = sign * np.sign(p)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logd += np.log(np.abs(p))
+                if c + 1 < k:
+                    f = a[c + 1 :, c]  # L's multipliers, written in place
+                    np.divide(f, p, out=f)
+                    f[:, p == 0] = 0
+                    a[c + 1 :, c + 1 :] -= f[:, None] * a[c, c + 1 :]
+        logd[sign == 0] = -np.inf
+        self.sign, self.log = sign.reshape(shape), logd.reshape(shape)
+        self._lu, self._colscale, self._perm = a, colscale, perm
+        self._last = None
 
     def solve(self, b):
         """M^{-1} b at every point, in the factors' dtype; b has shape (k,) + the points' shape."""
         lu = self._lu
         k, npts = lu.shape[1:]
-        if self._perm is None:  # compose the row swaps once: (P b)[i] = b[perm[i]]
-            perm = np.repeat(np.arange(k)[:, None], npts, axis=1)
-            cols = np.arange(npts)
-            for c, piv in enumerate(self._pivots):
-                tmp = perm[piv, cols].copy()
-                perm[piv, cols] = perm[c]
-                perm[c] = tmp
-            self._perm = perm
         b = np.asarray(b, dtype=lu.dtype)
-        y = np.take_along_axis(b.reshape(k, npts), self._perm, axis=0)
+        y = np.take_along_axis(b.reshape(k, npts), self._perm, axis=0)  # (P b)[i] = b[perm[i]]
         # column-oriented substitutions: elementwise over the points, so no value depends on its batch
         for j in range(k - 1):
             y[j + 1 :] -= lu[j + 1 :, j] * y[j]

@@ -309,18 +309,18 @@ def test_run_reads_states_and_candidates_by_solves_against_one_lu(tmp_path, monk
     # solve per state, and W's k x k matrix as the only matrix eliminated there (no
     # (k + 1) numerator, no (k - 1) minor, no shifted determinant of Vt)
     solves, sizes = [], []
-    solve, lu_batch = wronskian.WronskianLU.solve, wronskian._lu_batch
+    solve, factor = wronskian.WronskianLU.solve, wronskian.WronskianLU.__init__
 
     def counted_solve(self, b):
         solves.append(np.asarray(b))
         return solve(self, b)
 
-    def counted_lu(mats):
-        sizes.append((mats.shape[-1], mats.size // mats.shape[-1] ** 2))
-        return lu_batch(mats)
+    def counted_factor(self, stack):  # (k, points) of each matrix eliminated
+        sizes.append((stack.shape[1], np.prod(stack.shape[2:], dtype=int)))
+        factor(self, stack)
 
     monkeypatch.setattr(wronskian.WronskianLU, "solve", counted_solve)
-    monkeypatch.setattr(wronskian, "_lu_batch", counted_lu)
+    monkeypatch.setattr(wronskian.WronskianLU, "__init__", counted_factor)
     cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)
     assert run(cfg) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())

@@ -248,6 +248,24 @@ def test_series_past_the_term_cap_fails_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sum_beyond_its_dtypes_range_raises_without_a_warning():
+    # e^800 fits longdouble, where it is summed, but not float64, where it is returned; e^12000
+    # passes longdouble's range and e^100000 float64's in the terms themselves
+    calls = [lambda: kummer_m(0.5, 0.5, 800.0),
+             lambda: kummer_m(0.5, 0.5, 12000.0, dtype=np.longdouble),
+             lambda: kummer_m(0.5, 0.5, 1e5, work=np.float64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, dtype in zip(calls, ("float64", "float128|longdouble", "float64")):
+            with pytest.raises(ConvergenceError, match=f"range of ({dtype})"):
+                call()
+        # a terminating series at z beyond the others' range is still its polynomial value
+        z = 20000.0
+        want = 1 - 4 * Fraction(z) + Fraction(4, 3) * Fraction(z) ** 2
+        got = kummer_m(-2, 0.5, z, dtype=np.longdouble)
+    assert abs(Fraction(*got.as_integer_ratio()) - want) <= np.finfo(np.longdouble).eps * want
+
+
 def _ld_mpf(mpmath, v):
     """A longdouble as an exact mpmath number."""
     n, d = np.longdouble(v).as_integer_ratio()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from susyq.errors import DomainError, SingularWronskianError
 from susyq.seeds import Parity, kummer_frame, make_seed
 from susyq.wronskian import (
+    WronskianLU,
     det_orders,
     log_w_second_deriv,
     scaled_stack,
@@ -203,3 +204,50 @@ def test_wronskian_keeps_its_digits_at_large_x(monkeypatch):
             cols.append(mpmath.diffs(f, t, len(eps) - 1))
         want = mpmath.det(mpmath.matrix([list(c) for c in zip(*cols)]))
         assert abs(wronskian(seeds, x) - want) <= 1e-10 * abs(want)
+
+
+def _same_bits(x, y):
+    """Equal values and signs: the same bits, without reading a longdouble's padding bytes."""
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("k", range(9))
+def test_wronskian_lu_against_numpy_and_point_by_point(dtype, k):
+    # random stacks, rows 0..k+1 of k functions, with columns 1e-9..1e9 apart: det and solve
+    # against LAPACK (in float64, where the longdouble stacks hold float64 values), and each
+    # point bitwise the same point factored alone
+    rng = np.random.default_rng(k)
+    for shape in ((), (7,), (5, 8)):
+        scale = np.exp(rng.uniform(-20, 20, (1, k) + shape))
+        stack = (rng.standard_normal((k + 2, k) + shape) * scale).astype(dtype)
+        held = stack.copy()
+        b = rng.standard_normal((k,) + shape).astype(dtype)
+        lu = WronskianLU(stack)
+        y = lu.solve(b)
+        assert np.array_equal(stack, held)
+        assert lu.sign.shape == lu.log.shape == shape and y.shape == b.shape
+        assert lu.sign.dtype == lu.log.dtype == y.dtype == dtype
+        mats = np.moveaxis(stack[:k].astype(np.float64), (0, 1), (-2, -1))
+        sign, logd = np.linalg.slogdet(mats)
+        assert np.array_equal(lu.sign, sign)
+        np.testing.assert_allclose(lu.log.astype(float), logd, rtol=1e-12, atol=1e-12)
+        want = np.moveaxis(np.linalg.solve(mats, np.moveaxis(b.astype(float), 0, -1)[..., None])[..., 0], -1, 0)
+        # equilibrated columns: y_j times column j's largest entry is O(1) at every point
+        cols = np.abs(stack[:k]).max(axis=0, initial=0).astype(float)
+        err = np.abs((y.astype(float) - want) * cols).max(axis=0, initial=0)
+        assert np.all(err <= 1e-9 * np.abs(want * cols).max(axis=0, initial=1))
+        for idx in np.ndindex(shape):
+            at = (slice(None),) + idx
+            alone = WronskianLU(stack[(slice(None),) + at])
+            assert _same_bits(alone.sign, lu.sign[idx]) and _same_bits(alone.log, lu.log[idx])
+            assert _same_bits(alone.solve(b[at]), y[at])
+        if k:  # an exactly zero column at one point: det 0 there, and nowhere else
+            spot = (slice(None), k // 2) + tuple(n - 1 for n in shape)
+            stack[spot] = 0
+            zeroed = WronskianLU(stack)
+            last = tuple(n - 1 for n in shape)
+            assert zeroed.sign[last] == 0 and zeroed.log[last] == -np.inf
+            rest = np.ones(shape, dtype=bool)
+            rest[last] = False
+            assert _same_bits(zeroed.sign[rest], lu.sign[rest]) and _same_bits(zeroed.log[rest], lu.log[rest])
