@@ -232,7 +232,13 @@ def kummer_m(a, b, z, dtype=np.float64, zderiv=False, work=np.longdouble):
     return tuple(out) if zderiv else out[0]
 
 
-def b_ladder(a, b, z, m_top, zm_top, top):
+def ladder_steps(a, b, top):
+    """b_ladder's factors, which depend on the parameters alone: B - 1 and (B - a) / B, B = b + 1..b + top."""
+    shift = np.arange(top).reshape((-1,) + (1,) * np.ndim(b)) + 1  # B = b + shift
+    return b + shift - 1, (b + shift - a) / (b + shift)
+
+
+def b_ladder(a, b, z, m_top, zm_top, top, steps=None):
     """[M(a, b + m; z) for m = 0..top] from M(a, b + top; z) and z M'(a, b + top; z).
 
     a and b broadcast against m_top and zm_top (for rows: shape (rows, 1)
@@ -242,15 +248,14 @@ def b_ladder(a, b, z, m_top, zm_top, top):
 
         M(a, B - 1) = ((B - 1 + z) M(a, B) - z (B - a) / B M(a, B + 1)) / (B - 1)
 
-    runs downward, the direction in which it is stable for z >= 0.
+    runs downward, the direction in which it is stable for z >= 0.  steps is
+    ladder_steps(a, b, top), which a caller with fixed parameters may keep.
     """
+    below, cross = ladder_steps(a, b, top) if steps is None else steps
     ladder = np.empty((top + 1,) + np.shape(m_top), dtype=np.result_type(m_top, zm_top))
     ladder[top] = m_top
     if top:
-        ladder[top - 1] = m_top + zm_top / (b + top - 1)
-    shift = np.arange(top - 1).reshape((-1,) + (1,) * np.ndim(b)) + 1  # B = b + shift
-    below = b + shift - 1
-    cross = (b + shift - a) / (b + shift)
+        ladder[top - 1] = m_top + zm_top / below[top - 1]
     for m in range(top - 1, 0, -1):
         step = (below[m - 1] + z) * ladder[m]
         step -= cross[m - 1] * z * ladder[m + 1]

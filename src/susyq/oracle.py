@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from numpy.linalg import LinAlgError  # scipy.linalg raises this same class
 
 from .errors import ConvergenceError, DomainError, PotentialSingularityError
 
@@ -134,6 +134,13 @@ def sturm_count(t: Tridiag, shift):
         count[zero] = _negative_pivots(t.diag, off2, shifts[zero], fix_zeros=True)[0]
     count = count.reshape(shift.shape)
     return int(count) if count.ndim == 0 else count
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, with scipy imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal as lapack
+
+    return lapack(*args, **kwargs)
 
 
 def eigenvalues_low(t: Tridiag, count: int) -> list[float]:

@@ -282,10 +282,10 @@ class _TablePart:
 
     def _factors(self):
         """W's LU, to solve against; raises where W vanishes on x."""
-        if np.any(self.sw == 0):
-            raise SingularWronskianError(
-                f"Wronskian vanishes on the requested points near x = {self.x}"
-            )
+        bad = self.sw == 0
+        if np.any(bad):
+            where = self.x[np.atleast_1d(bad)] if self.x.ndim else self.x
+            raise SingularWronskianError(f"Wronskian vanishes on the requested points near x = {where}")
         return self.lu
 
 

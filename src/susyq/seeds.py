@@ -40,7 +40,11 @@ bitwise, as inside any set and any batch of points.  The whole frame, the
 series included, runs in the dtype it is asked for: longdouble for the
 plain-frame reads, and for a seed table (wronskian.scaled_stack) float64 or
 longdouble as its partner chose (partner.PartnerPotential.table_dtype).  No
-seeds is an empty frame, with no series to sum.
+seeds is an empty frame, with no series to sum.  The frame's arrays that
+depend on the seeds alone (branch rows, Pochhammer steps, Faa di Bruno
+weights, odd-branch multipliers, the b-ladder's factors) are built once per
+seed set, order and dtype (frame_constants), read-only, and shared by every
+frame of that set: a plan's reads, probes and scan halvings.
 """
 
 from __future__ import annotations
@@ -49,11 +53,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .kummer import b_ladder, kummer_m
+from .kummer import b_ladder, kummer_m, ladder_steps
 from .kummer import kummer_m_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 
 
@@ -138,27 +143,19 @@ def kummer_frame(seeds, x, max_order, dtype=np.float64):
     kummer_m call sums, for each branch a seed uses (even: b = 1/2, odd:
     b = 3/2), M(a, B) and z M'(a, B) at B = b + max_order; the rest is
     elementwise arithmetic on one (orders, branches, points) array, a few
-    numpy calls per order.
+    numpy calls per order, with the factors that depend on the seeds alone
+    taken from frame_constants.
     """
     top = max_order
     x = np.asarray(x, dtype=dtype)
     shape, x = x.shape, x.ravel()
     z = x * x
-    # one row per branch in use, (seed, coefficient, a, b), in seed order, even before odd
-    rows = [r for i, s in enumerate(seeds)
-            for r in ((i, s.b1, s.a_even, 0.5), (i, s.b2, s.a_odd, 1.5)) if r[1] != 0]
-    if not rows:  # no seeds: an empty frame, and no series to sum
+    const = frame_constants(tuple(seeds), top, dtype)
+    if const is None:  # no seeds: an empty frame, and no series to sum
         return np.zeros((top + 1, 0) + shape, dtype=dtype)
-    idx, c, a, b = (np.array(column) for column in zip(*rows))
-    odd = b == 1.5
-    a, b = a.astype(dtype)[:, None], b.astype(dtype)[:, None]  # a row's scalars against the points
-    m_top, zm_top = kummer_m(a[:, 0], b[:, 0] + top, z, dtype=dtype, zderiv=True, work=dtype)
-    table = b_ladder(a, b, z, m_top, zm_top, top)  # M(a, b + m), m = 0..top
-    # G_m = e^{+z} d^m/dz^m F, F(z) = e^{-z} M(a, b, z) = M(b - a, b, -z) (Kummer's transformation):
-    #   G_m = (-1)^m (b - a)_m / (b)_m M(a, b + m, z), times the branch's coefficient in the seed
-    orders = np.arange(top)[:, None, None]
-    steps = np.concatenate([c.astype(dtype)[None, :, None], (a - b - orders) / (b + orders)])
-    table *= np.cumprod(steps, axis=0)
+    m_top, zm_top = kummer_m(const.a[:, 0], const.b_top, z, dtype=dtype, zderiv=True, work=dtype)
+    table = b_ladder(const.a, const.b, z, m_top, zm_top, top, const.ladder)  # M(a, b + m), m = 0..top
+    table *= const.pochhammer
     # Faa di Bruno: d^n/dx^n F(x^2) = sum_i n!/(i!(n-2i)!) (2x)^(n-2i) F^(n-i)(x^2).  By decreasing
     # m = n - i, G_m first adds its terms to the orders n in (m, 2m], then becomes order m's own
     # first term (2x)^m G_m; no G is read after its slot is overwritten
@@ -168,26 +165,64 @@ def kummer_frame(seeds, x, max_order, dtype=np.float64):
     for m in range(top, 0, -1):
         hi = min(2 * m, top)
         if hi > m:  # orders n = m+1..hi, with powers 2m - n = m-1..2m-hi
-            weights = np.array(_faa_di_bruno(m)[: hi - m], dtype=dtype)[:, None]
-            table[m + 1 : hi + 1] += (weights * powers[2 * m - hi : m][::-1])[:, None] * table[m]
+            table[m + 1 : hi + 1] += (const.weights[m] * powers[2 * m - hi : m][::-1])[:, None] * table[m]
         table[m] *= powers[m]
     # odd branches are x F(x^2): d^n/dx^n [x F(x^2)] = x F^[n] + n F^[n-1], F^[n] = d^n/dx^n F(x^2)
-    odd = odd[:, None]
-    shifted = table[:-1] * (np.arange(1, top + 1)[:, None, None] * odd)
-    table *= np.where(odd, x, dtype(1))
+    shifted = table[:-1] * const.odd_steps
+    table *= np.where(const.odd, x, dtype(1))
     table[1:] += shifted
-    if len(rows) == len(seeds):  # one branch per seed: the rows are the seeds, with no copy
+    if const.idx is None:  # one branch per seed: the rows are the seeds, with no copy
         return table.reshape((top + 1, len(seeds)) + shape)
     out = np.zeros((top + 1, len(seeds), x.size), dtype=dtype)
-    np.add.at(out, (slice(None), idx), table)  # a mixed seed's even row, then its odd row
+    np.add.at(out, (slice(None), const.idx), table)  # a mixed seed's even row, then its odd row
     return out.reshape((top + 1, len(seeds)) + shape)
 
 
-@functools.cache
-def _faa_di_bruno(m):
-    """n!/(i!(n-2i)!) with i = n - m, for n = m+1..2m: G_m's weights in the orders above m."""
-    return tuple(math.factorial(n) // (math.factorial(n - m) * math.factorial(2 * m - n))
-                 for n in range(m + 1, 2 * m + 1))
+class FrameConstants(NamedTuple):
+    """The arrays of kummer_frame that depend on the seeds, max_order and dtype alone; all read-only."""
+
+    a: np.ndarray  # each branch row's a, shape (rows, 1)
+    b: np.ndarray  # and its b, 1/2 (even) or 3/2 (odd)
+    b_top: np.ndarray  # b + max_order, shape (rows,)
+    odd: np.ndarray  # which rows are odd branches, shape (rows, 1)
+    idx: np.ndarray | None  # each row's seed, or None when the rows are the seeds
+    pochhammer: np.ndarray  # c (b - a)_m / (b)_m (-1)^m, m = 0..max_order
+    weights: dict  # m -> Faa di Bruno weights of G_m in the orders n = m+1..min(2m, max_order)
+    odd_steps: np.ndarray  # n on odd rows, 0 on even ones, n = 1..max_order
+    ladder: tuple  # kummer.ladder_steps(a, b, max_order)
+
+
+@functools.lru_cache(maxsize=256)
+def frame_constants(seeds, max_order, dtype):
+    """FrameConstants of a tuple of seeds, built once per (seeds, max_order, dtype); None for no seeds.
+
+    Every scan halving and every read of one plan shares them, so they are
+    read-only: a write into one would reach every later frame of the plan.
+    """
+    top = max_order
+    # one row per branch in use, (seed, coefficient, a, b), in seed order, even before odd
+    rows = [r for i, s in enumerate(seeds)
+            for r in ((i, s.b1, s.a_even, 0.5), (i, s.b2, s.a_odd, 1.5)) if r[1] != 0]
+    if not rows:
+        return None
+    idx, c, a, b = (np.array(column) for column in zip(*rows))
+    odd = (b == 1.5)[:, None]
+    a, b = a.astype(dtype)[:, None], b.astype(dtype)[:, None]  # a row's scalars against the points
+    # G_m = e^{+z} d^m/dz^m F, F(z) = e^{-z} M(a, b, z) = M(b - a, b, -z) (Kummer's transformation):
+    #   G_m = (-1)^m (b - a)_m / (b)_m M(a, b + m, z), times the branch's coefficient in the seed
+    orders = np.arange(top)[:, None, None]
+    steps = np.concatenate([c.astype(dtype)[None, :, None], (a - b - orders) / (b + orders)])
+    weights = {m: np.array([math.factorial(n) // (math.factorial(n - m) * math.factorial(2 * m - n))
+                            for n in range(m + 1, min(2 * m, top) + 1)], dtype=dtype)[:, None]
+               for m in range(1, top + 1) if min(2 * m, top) > m}
+    const = FrameConstants(
+        a=a, b=b, b_top=b[:, 0] + top, odd=odd, idx=None if len(rows) == len(seeds) else idx,
+        pochhammer=np.cumprod(steps, axis=0), weights=weights,
+        odd_steps=np.arange(1, top + 1)[:, None, None] * odd, ladder=ladder_steps(a, b, top))
+    for array in (a, b, const.b_top, odd, idx, const.pochhammer, *weights.values(),
+                  const.odd_steps, *const.ladder):
+        array.flags.writeable = False
+    return const
 
 
 def make_seed(epsilon: float, parity: Parity) -> SeedSolution:

@@ -70,7 +70,9 @@ class WronskianLU:
     the log) so pivot selection is not skewed by the x^n growth of higher
     derivative rows.  At every point M[perm] / colscale = L U: _lu holds U on
     and above the diagonal and L's multipliers below it, and _perm, the row
-    order, is swapped alongside the rows at each pivot.
+    order, is swapped alongside the rows at each pivot.  A column on which no
+    point of the batch pivots skips the swap and its copies; that is a test
+    of the data, so a point alone still takes the same steps as in any batch.
     """
 
     def __init__(self, stack):
@@ -87,22 +89,21 @@ class WronskianLU:
         sign[zero_col.any(axis=0)] = 0
         colscale[zero_col] = 1
         a /= colscale
-        with np.errstate(divide="ignore"):
-            for c in range(k):  # column by column: sum(axis=0) orders its adds by batch size
-                logd += np.log(colscale[c])
-
         cols = np.arange(npts)
         perm = np.repeat(np.arange(k)[:, None], npts, axis=1)
-        for c in range(k):
-            piv = np.abs(a[c:, c]).argmax(axis=0) + c
-            swap = piv != c
-            sign[swap] = -sign[swap]
-            tmp, tmp_perm = a[piv, :, cols], perm[piv, cols]  # copies, as advanced indexing makes
-            a[piv, :, cols], perm[piv, cols] = a[c].T, perm[c]
-            a[c], perm[c] = tmp.T, tmp_perm
-            p = a[c, c]
-            sign = sign * np.sign(p)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in range(k):  # column by column: sum(axis=0) orders its adds by batch size
+                logd += np.log(colscale[c])
+            for c in range(k):
+                piv = np.abs(a[c:, c]).argmax(axis=0) + c
+                swap = piv != c
+                if swap.any():  # on the data, never the batch size: a point alone pivots as in any batch
+                    sign[swap] = -sign[swap]
+                    tmp, tmp_perm = a[piv, :, cols], perm[piv, cols]  # copies, as advanced indexing makes
+                    a[piv, :, cols], perm[piv, cols] = a[c].T, perm[c]
+                    a[c], perm[c] = tmp.T, tmp_perm
+                p = a[c, c]
+                sign = sign * np.sign(p)
                 logd += np.log(np.abs(p))
                 if c + 1 < k:
                     f = a[c + 1 :, c]  # L's multipliers, written in place
@@ -111,7 +112,7 @@ class WronskianLU:
                     a[c + 1 :, c + 1 :] -= f[:, None] * a[c, c + 1 :]
         logd[sign == 0] = -np.inf
         self.sign, self.log = sign.reshape(shape), logd.reshape(shape)
-        self._lu, self._colscale, self._perm = a, colscale, perm
+        self._lu, self._colscale, self._perm, self._cols = a, colscale, perm, cols
         self._last = None
 
     def solve(self, b):
@@ -119,7 +120,7 @@ class WronskianLU:
         lu = self._lu
         k, npts = lu.shape[1:]
         b = np.asarray(b, dtype=lu.dtype)
-        y = np.take_along_axis(b.reshape(k, npts), self._perm, axis=0)  # (P b)[i] = b[perm[i]]
+        y = b.reshape(k, npts)[self._perm, self._cols]  # (P b)[i] = b[perm[i]], a copy
         # column-oriented substitutions: elementwise over the points, so no value depends on its batch
         for j in range(k - 1):
             y[j + 1 :] -= lu[j + 1 :, j] * y[j]

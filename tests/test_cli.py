@@ -459,3 +459,30 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_pointwise_reads_and_validate_never_import_scipy():
+    # scipy serves the oracle's stebz alone (~21 MB and ~0.2 s), so it loads on the first
+    # eigenvalues_low call: not on import, nor on the pointwise reads or validate
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = """if True:
+        import sys
+        import numpy as np
+        import susyq, susyq.cli
+        from susyq import (BaseState, Grid, added_state, discretize, eigenvalues_low, make_plan,
+                           partner_v, transformed_eigenfunction, truncated_oscillator_v, validate)
+        plan = make_plan((-5.5, -4.5, -3.5, -2.5))
+        p, x = plan.partner(), np.array([0.3, 1.0, 2.5, 7.0])
+        partner_v(p, x), partner_v(p, 1.0), added_state(p, 2, x)
+        transformed_eigenfunction(p, BaseState("odd", 1), x)
+        validate(plan, Grid())
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+        g = Grid()
+        levels = eigenvalues_low(discretize(truncated_oscillator_v(g.points), g), 6)
+        assert "scipy.linalg" in sys.modules
+        assert all(abs(e - (2 * n + 1.5)) <= 1e-3 for n, e in enumerate(levels)), levels
+    """
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr

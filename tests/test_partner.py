@@ -5,7 +5,12 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from susyq.design import make_plan, validate
-from susyq.errors import DegenerateEnergyError, DomainError, NonNormalizableError
+from susyq.errors import (
+    DegenerateEnergyError,
+    DomainError,
+    NonNormalizableError,
+    SingularWronskianError,
+)
 from susyq.oracle import Grid
 from susyq.partner import (
     FLOAT64_X_MAX,
@@ -248,6 +253,26 @@ def test_seed_table_reads_are_pure(eps):
     np.testing.assert_array_equal(part.table, seeds)
     for a, b in zip(held, (part.sw, part.lw)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_reads_where_w_vanishes_name_those_points_alone():
+    # one sign of a 4002-point grid table set to 0: the state and candidate reads raise, and
+    # the message names that point, not the whole batch
+    x = Grid().closed_points
+    table = SeedTable(DEEP, x)
+    (_, part), = table.parts
+    for i in (0, 1234, x.size - 1):
+        part.sw = table.sw.copy()
+        part.sw[i] = 0
+        for read in (lambda: table.state(BaseState("odd", 1)), lambda: table.added(2)):
+            with pytest.raises(SingularWronskianError) as err:
+                read()
+            assert str(err.value).endswith(f"near x = {x[i : i + 1]}")
+    lone = SeedTable(DEEP, 1.0)
+    (_, part), = lone.parts
+    part.sw = np.zeros_like(lone.sw)
+    with pytest.raises(SingularWronskianError, match=r"near x = 1\.0$"):
+        lone.added(1)
 
 
 def test_potential_and_candidates_share_one_solve(monkeypatch):

@@ -10,6 +10,7 @@ from susyq.seeds import (
     Parity,
     derivative_table,
     derivatives,
+    frame_constants,
     kummer_frame,
     make_seed,
     make_seed_general,
@@ -157,6 +158,42 @@ def test_seed_point_alone_equals_the_point_in_a_grid_batch(seed):
         alone = kummer_frame((seed,), x[i : i + 1], 9, dtype=np.longdouble)
         # longdouble padding bytes are undefined, so the values compare, not the bytes
         np.testing.assert_array_equal(alone, frame[:, 1:, i : i + 1])
+
+
+def _same_bits(x, y):
+    """Equal shapes, dtypes, values and signs, without reading a longdouble's padding bytes."""
+    return (x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def test_kummer_frame_constants_come_from_a_read_only_cache_and_change_no_bit():
+    # random seed sets of k = 1-8 (even, odd and mixed seeds) at every max_order 0..k+1, in both
+    # dtypes and on (), (1,) and (64,) points: a frame from the cache is bitwise the frame built
+    # after cache_clear()
+    rng = np.random.default_rng(28)
+    kinds = (lambda e: make_seed(e, Parity.EVEN), lambda e: make_seed(e, Parity.ODD),
+             lambda e: make_seed_general(e, *rng.uniform(-2, 2, 2)))
+    cases = [(k, top) for k in range(1, 9) for top in range(k + 2)]
+    for n, (k, top) in enumerate(cases):
+        dtype = (np.float64, np.longdouble)[n % 2]
+        shape = ((), (1,), (64,))[n % 3]
+        seeds = [kinds[i](e) for i, e in zip(rng.integers(3, size=k), rng.uniform(-6, 4, k))]
+        x = rng.uniform(0, 9.5, shape)
+        frame_constants(tuple(seeds), top, dtype)
+        hits = frame_constants.cache_info().hits
+        cached = kummer_frame(seeds, x, top, dtype=dtype)
+        assert frame_constants.cache_info().hits == hits + 1
+        # a list and a tuple of the same seeds are one key
+        assert _same_bits(kummer_frame(tuple(seeds), x, top, dtype=dtype), cached)
+        frame_constants.cache_clear()
+        assert _same_bits(kummer_frame(seeds, x, top, dtype=dtype), cached)
+    # every cached array is read-only, a mixed seed's row index included
+    const = frame_constants((make_seed(0.3, Parity.ODD), make_seed_general(0.9, 0.7, -1.3)), 5, np.float64)
+    arrays = [const.a, const.b, const.b_top, const.odd, const.idx, const.pochhammer, const.odd_steps,
+              *const.ladder, *const.weights.values()]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("seed", [make_seed(0.616, Parity.EVEN), make_seed(1.405, Parity.ODD),

@@ -251,3 +251,20 @@ def test_wronskian_lu_against_numpy_and_point_by_point(dtype, k):
             rest = np.ones(shape, dtype=bool)
             rest[last] = False
             assert _same_bits(zeroed.sign[rest], lu.sign[rest]) and _same_bits(zeroed.log[rest], lu.log[rest])
+    # columns diagonally dominant at every point, so that no point pivots and every column skips
+    # its row swap, and the same points mixed with pivoting ones in one batch: sign, log, solve
+    # and last of each point are bitwise those of the point factored alone
+    calm = rng.uniform(-1, 1, (k + 2, k, 9))
+    calm[range(k), range(k)] = rng.uniform(k, k + 1, (k, 9)) * rng.choice([-1, 1], (k, 9))
+    calm *= np.exp(rng.uniform(-20, 20, (1, k, 1)))
+    mixed = np.concatenate([calm, rng.standard_normal((k + 2, k, 9))], axis=2)[..., rng.permutation(18)]
+    for stack, pivots in ((calm, False), (mixed, k > 1)):
+        stack = stack.astype(dtype)
+        b = rng.standard_normal(stack.shape[1:]).astype(dtype)
+        lu = WronskianLU(stack)
+        y = lu.solve(b)
+        assert np.array_equal(lu._perm, np.broadcast_to(np.arange(k)[:, None], lu._perm.shape)) != pivots
+        for i in range(stack.shape[2]):
+            alone = WronskianLU(stack[..., i])
+            assert _same_bits(alone.sign, lu.sign[i]) and _same_bits(alone.log, lu.log[i])
+            assert _same_bits(alone.solve(b[:, i]), y[:, i]) and _same_bits(alone.last, lu.last[:, i])
