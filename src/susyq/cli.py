@@ -223,7 +223,7 @@ def run(cfg: PlanConfig, command: str = "run") -> int:
     try:
         if not 1 <= cfg.levels_to_report <= MAX_LEVELS:
             raise ValueError(f"levels_to_report must lie in 1..{MAX_LEVELS}")
-        plan = make_plan(cfg.epsilons, cfg.parities) if cfg.order else TransformationPlan((), ())
+        plan = make_plan(cfg.epsilons, cfg.parities)
         grid = Grid(x_max=cfg.x_max, n=cfg.grid_n)
     except ValueError as exc:  # the SusyqErrors a bad plan raises are ValueErrors too
         print(f"invalid config: {exc}", file=sys.stderr)

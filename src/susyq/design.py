@@ -14,7 +14,9 @@ decides for any parity vector: the origin exponent of the partner, read from
 how many seeds are even and how many odd (see predict_added).  The levels it
 names are then checked behaviorally (decay probing near the origin and
 normalizability) on plans whose Wronskian the singularity scan finds free of
-zeros.
+zeros.  One check of the interval, odd-order and parity rules
+(_rule_violations) serves validate and predict_added, and the origin probe
+is the public read, added_state on PROBE_POINTS.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import BoundaryEnergyError, NonNormalizableError, SingularWronskianError
 from .oracle import Grid
-from .partner import PartnerPotential, SeedTable, normalize
+from .partner import PartnerPotential, SeedTable, added_state, normalize
 from .seeds import Parity, SeedSolution, make_seed
 from .wronskian import scaled_stack, sign_log_det_orders
 
@@ -120,35 +122,42 @@ def make_plan(epsilons, parities=None) -> TransformationPlan:
     epsilons = tuple(float(e) for e in epsilons)
     if parities is None:
         classes = {classify_interval(e) for e in epsilons}
-        if len(classes) != 1:
+        if len(classes) > 1:
             raise ValueError(
                 "cannot auto-assign parities: energies span several intervals"
             )
-        parities = parity_assignment(len(epsilons), classes.pop().kind)
+        parities = parity_assignment(len(epsilons), classes.pop().kind) if classes else ()
     return TransformationPlan(epsilons=epsilons, parities=tuple(parities))
 
 
-def _common_interval(plan: TransformationPlan):
-    """(interval, violations) where interval is None when mixed or on a boundary."""
-    violations = []
-    classes = []
-    if not plan.epsilons:
-        return None, []
+def _rule_violations(plan: TransformationPlan):
+    """[(rule, message)] of the interval, odd-order-above-E0 and parity rules that plan breaks.
+
+    The parity rule is checked only when every energy lies in one interval,
+    whose class names the rule's parities.
+    """
+    k = plan.order
+    violations, classes = [], set()
     for e in plan.epsilons:
         try:
-            classes.append(classify_interval(e))
+            classes.add(classify_interval(e))
         except BoundaryEnergyError as exc:
             violations.append((RULE_INTERVAL_BOUNDARY, str(exc)))
-    if violations:
-        return None, violations
-    if len(set(classes)) != 1:
-        return None, [
-            (
-                RULE_INTERVAL_MIXED,
-                f"energies {plan.epsilons} span several intervals; choose one",
-            )
-        ]
-    return classes[0], []
+    if not violations and len(classes) > 1:
+        violations.append(
+            (RULE_INTERVAL_MIXED, f"energies {plan.epsilons} span several intervals; choose one"))
+    interval = classes.pop() if k and not violations else None
+    if k % 2 == 1 and max(plan.epsilons) > GROUND_ENERGY:
+        violations.append((RULE_ODD_ABOVE_E0, "odd-order transformations require all energies below 3/2"))
+    if interval is not None:
+        expected = parity_assignment(k, interval.kind)
+        if list(plan.parities) != expected:
+            violations.append((
+                RULE_PARITY_MISMATCH,
+                f"parities {[int(p) for p in plan.parities]} deviate from the "
+                f"class-{interval.kind} rule {[int(p) for p in expected]}",
+            ))
+    return violations
 
 
 def _odd_seeds_added(parities) -> bool:
@@ -174,12 +183,15 @@ def predict_added(plan: TransformationPlan):
     seeds are added and the odd branch stays.  Either way min(n_e, n_o)
     seeds are added, which is at most floor(k/2) for any parity vector.
 
-    An odd order above E0, or energies off one interval, predict nothing.
+    An odd order above E0, or energies off one interval, predict nothing:
+    any broken rule but the parity rule (_rule_violations).
     """
-    k = plan.order
-    if k % 2 == 1 and max(plan.epsilons) > GROUND_ENERGY:
-        return []
-    if _common_interval(plan)[1]:
+    return _added(plan, _rule_violations(plan))
+
+
+def _added(plan: TransformationPlan, violations):
+    """predict_added(plan), given the rule violations of plan."""
+    if any(rule != RULE_PARITY_MISMATCH for rule, _ in violations):
         return []
     added = Parity.ODD if _odd_seeds_added(plan.parities) else Parity.EVEN
     return [
@@ -249,28 +261,8 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
     """Run every design rule and the behavioral checks; findings never raise."""
     if grid is None:
         grid = Grid()
-    violations = []
-    interval, interval_violations = _common_interval(plan)
-    violations.extend(interval_violations)
-
-    k = plan.order
-    if k % 2 == 1 and k > 0 and max(plan.epsilons) > GROUND_ENERGY:
-        violations.append(
-            (
-                RULE_ODD_ABOVE_E0,
-                "odd-order transformations require all energies below 3/2",
-            )
-        )
-    if interval is not None and k >= 1:
-        expected = parity_assignment(k, interval.kind)
-        if list(plan.parities) != expected:
-            violations.append(
-                (
-                    RULE_PARITY_MISMATCH,
-                    f"parities {[int(p) for p in plan.parities]} deviate from the "
-                    f"class-{interval.kind} rule {[int(p) for p in expected]}",
-                )
-            )
+    violations = _rule_violations(plan)
+    predicted = _added(plan, violations)
 
     # the one evaluation of the seeds on the grid: the scan, the candidates and cli.run read it
     on_grid = SeedTable(plan.partner(), grid.closed_points)
@@ -278,15 +270,12 @@ def validate(plan: TransformationPlan, grid: Grid | None = None) -> ValidationRe
     for z in zeros:
         violations.append((RULE_WRONSKIAN_ZERO, f"Wronskian zero at x = {z:.6g}"))
 
-    predicted = predict_added(plan)
     confirmed = []
     branch = "even-base" if not zeros and _odd_seeds_added(plan.parities) else "odd-base"
-    if predicted and not zeros:
-        # one table on PROBE_POINTS, up to order k, serves every candidate
-        probe = SeedTable(on_grid.p, PROBE_POINTS, k)
+    if not zeros:
         for j, eps in predicted:
-            try:
-                verdict = boundary_check(lambda x: probe.added(j))
+            try:  # the public read: its own table on PROBE_POINTS, in the dtype the grid's took
+                verdict = boundary_check(lambda x: added_state(on_grid.p, j, x))
             except SingularWronskianError:
                 verdict = "nonphysical"
             if verdict != "physical":

@@ -238,20 +238,21 @@ def ladder_steps(a, b, top):
     return b + shift - 1, (b + shift - a) / (b + shift)
 
 
-def b_ladder(a, b, z, m_top, zm_top, top, steps=None):
+def b_ladder(z, m_top, zm_top, steps):
     """[M(a, b + m; z) for m = 0..top] from M(a, b + top; z) and z M'(a, b + top; z).
 
-    a and b broadcast against m_top and zm_top (for rows: shape (rows, 1)
-    against (rows, points)); b + top - 1 must be positive.  Termwise,
+    steps is ladder_steps(a, b, top), whose factors broadcast against m_top
+    and zm_top (for rows: shape (top, rows, 1) against (rows, points));
+    b + top - 1 must be positive.  Termwise,
     (B)_n / (B - 1)_n = 1 + n / (B - 1), so M(a, B - 1) = M(a, B) + z M'(a, B) / (B - 1);
     below that the contiguous relation (DLMF 13.3.2)
 
         M(a, B - 1) = ((B - 1 + z) M(a, B) - z (B - a) / B M(a, B + 1)) / (B - 1)
 
-    runs downward, the direction in which it is stable for z >= 0.  steps is
-    ladder_steps(a, b, top), which a caller with fixed parameters may keep.
+    runs downward, the direction in which it is stable for z >= 0.
     """
-    below, cross = ladder_steps(a, b, top) if steps is None else steps
+    below, cross = steps
+    top = len(below)
     ladder = np.empty((top + 1,) + np.shape(m_top), dtype=np.result_type(m_top, zm_top))
     ladder[top] = m_top
     if top:

@@ -69,6 +69,8 @@ class Tridiag:
         object.__setattr__(self, "off", np.asarray(self.off, dtype=float))
         if self.off.shape != (max(self.diag.size - 1, 0),):
             raise ValueError("off-diagonal must have n-1 entries")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            raise ValueError("tridiagonal entries must be finite")
 
 
 def discretize(vals, g: Grid) -> Tridiag:
@@ -124,9 +126,12 @@ def sturm_count(t: Tridiag, shift):
     An exact zero pivot counts as positive and continues as the smallest normal
     float; the few shifts that meet one are counted again with that check on
     every row, so every count equals the scalar recurrence's, bit for bit.
+    A shift of -inf counts 0 and +inf counts n; a NaN shift raises ValueError.
     """
     shift = np.asarray(shift, dtype=float)
     shifts = shift.ravel()
+    if np.isnan(shifts).any():
+        raise ValueError("a Sturm count needs shifts that are not NaN")
     # a leading b^2 = 0 makes the first pivot (d_0 - s) - 0 / 1, with no branch in the loop
     off2 = np.concatenate(([0.0], t.off * t.off))
     count, zero = _negative_pivots(t.diag, off2, shifts)

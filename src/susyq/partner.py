@@ -34,8 +34,9 @@ and the order-8 plan with energies 0.005 apart.  Points beyond FLOAT64_X_MAX
 always run in longdouble; SeedTable is the one place that splits a batch.
 
 partner_v, transformed_eigenfunction and added_state each read one SeedTable
-built for them, so they compute exactly what a held table gives, and all
-three raise DomainError unless every x > 0.
+built for them, so they compute exactly what a held table gives.  All three
+raise DomainError unless every x is finite and > 0 (seeds.half_line), and
+base_state_value and truncated_oscillator_v unless every x is finite and >= 0.
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnergyError, NonNormalizableError, SingularWronskianError
-from .seeds import SeedSolution, derivative_table
-from .wronskian import WORK_DTYPE, WronskianLU, _check_domain, scaled_stack
+from .seeds import SeedSolution, as_float, derivative_table, half_line
+from .wronskian import WORK_DTYPE, WronskianLU, scaled_stack
 from .wronskian import log_w_second_deriv  # noqa: F401 (perfbench/tracing.py patches it)
 from .wronskian import sign_log_det_orders  # noqa: F401 (perfbench/tracing.py patches it)
 
 
 def truncated_oscillator_v(x):
-    """The base potential x^2/2 on the half line."""
-    x = np.asarray(x, dtype=float)
-    return x * x / 2
+    """The base potential x^2/2 on the half line, x >= 0."""
+    x = half_line(x, closed=True)
+    return as_float(x * x / 2)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,8 @@ class BaseState:
 
 def base_state_value(s: BaseState, x):
     """Normalized value of psi_n or chi_n on [0, infinity)."""
-    x = np.asarray(x, dtype=float)
-    val = s.kummer_frame(x, 0)[0] * np.exp(-x * x / 2)
-    return float(val) if val.ndim == 0 else val
+    x = half_line(x, closed=True)
+    return as_float(s.kummer_frame(x, 0)[0] * np.exp(-x * x / 2))
 
 
 # Seed tables run in float64 at points up to FLOAT64_X_MAX when the plan's probe allows it, and in
@@ -179,7 +179,7 @@ class PartnerPotential:
 
 def partner_v(p: PartnerPotential, x):
     """Vt(x) = x^2/2 - (ln W)''(x) for x > 0."""
-    return SeedTable(p, x).potential()
+    return as_float(SeedTable(p, x).potential())
 
 
 def transformed_eigenfunction(p: PartnerPotential, s: BaseState, x):
@@ -211,7 +211,7 @@ class SeedTable:
     """
 
     def __init__(self, p: PartnerPotential, x, max_order=None):
-        self.p, self.x = p, _check_domain(x)
+        self.p, self.x = p, half_line(x)
         top = p.order + 1 if max_order is None else max_order
         near = self.x <= FLOAT64_X_MAX
         dtype = p.table_dtype if near.any() else WORK_DTYPE  # no probe when no point may take float64
@@ -253,7 +253,7 @@ class _TablePart:
         self.sw, self.lw = self.lu.sign, self.lu.log
 
     def potential(self):
-        return truncated_oscillator_v(self.x) - self.lu.log_w_second_deriv(self.x)
+        return self.x * self.x / 2 - self.lu.log_w_second_deriv(self.x)  # V on x, checked once
 
     def state(self, s: BaseState):
         k, eps = self.p.order, self.p.epsilons
@@ -270,7 +270,7 @@ class _TablePart:
         # each intertwining order carries a 1/sqrt(2) in the operator convention
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
         # Gaussian exponents: numerator e^{-(k+1)x^2/2}, denominator e^{-k x^2/2}
-        return _as_float(ratio * np.exp(-self.half_x2 - self.dtype(scale)))
+        return as_float(ratio * np.exp(-self.half_x2 - self.dtype(scale)))
 
     def added(self, j: int):
         k = self.p.order
@@ -278,7 +278,7 @@ class _TablePart:
             raise IndexError(f"seed index {j} outside 1..{k}")
         # W(minor_j)/W = (-1)^(k+j) (M^-1)_{j,k}: one solve against e_k serves every j.
         # The minor carries e^{-(k-1)x^2/2}, W e^{-k x^2/2}: net e^{+x^2/2}
-        return _as_float((-1) ** (k + j) * self._factors().last[j - 1] * np.exp(self.half_x2))
+        return as_float((-1) ** (k + j) * self._factors().last[j - 1] * np.exp(self.half_x2))
 
     def _factors(self):
         """W's LU, to solve against; raises where W vanishes on x."""
@@ -287,11 +287,6 @@ class _TablePart:
             where = self.x[np.atleast_1d(bad)] if self.x.ndim else self.x
             raise SingularWronskianError(f"Wronskian vanishes on the requested points near x = {where}")
         return self.lu
-
-
-def _as_float(val):
-    val = np.asarray(val, dtype=float)
-    return float(val) if val.ndim == 0 else val
 
 
 # a bound state with tail t max|f| at x_max leaves about (t max|f|)^2 / (2 x_max) of its squared

@@ -45,6 +45,10 @@ depend on the seeds alone (branch rows, Pochhammer steps, Faa di Bruno
 weights, odd-branch multipliers, the b-ladder's factors) are built once per
 seed set, order and dtype (frame_constants), read-only, and shared by every
 frame of that set: a plan's reads, probes and scan halvings.
+
+Every public read of points, here, in wronskian and in partner, takes x
+through half_line (finite, > 0 or, where a read is defined at 0, >= 0) and
+returns through as_float: a Python float for a scalar x.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def derivatives(seeds, x, max_order):
     return derivative_table(frame, x).astype(np.float64)
 
 
-def kummer_frame(seeds, x, max_order, dtype=np.float64):
+def kummer_frame(seeds, x, max_order, dtype):
     """[N_0 .. N_max_order] of every seed, N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}.
 
     Shape (max_order + 1, len(seeds)) + x.shape, at x >= 0, all in dtype.  One
@@ -154,7 +158,7 @@ def kummer_frame(seeds, x, max_order, dtype=np.float64):
     if const is None:  # no seeds: an empty frame, and no series to sum
         return np.zeros((top + 1, 0) + shape, dtype=dtype)
     m_top, zm_top = kummer_m(const.a[:, 0], const.b_top, z, dtype=dtype, zderiv=True, work=dtype)
-    table = b_ladder(const.a, const.b, z, m_top, zm_top, top, const.ladder)  # M(a, b + m), m = 0..top
+    table = b_ladder(z, m_top, zm_top, const.ladder)  # M(a, b + m), m = 0..top
     table *= const.pochhammer
     # Faa di Bruno: d^n/dx^n F(x^2) = sum_i n!/(i!(n-2i)!) (2x)^(n-2i) F^(n-i)(x^2).  By decreasing
     # m = n - i, G_m first adds its terms to the orders n in (m, 2m], then becomes order m's own
@@ -237,20 +241,28 @@ def make_seed_general(epsilon: float, b1: float, b2: float) -> SeedSolution:
     return SeedSolution(epsilon=float(epsilon), b1=float(b1), b2=float(b2))
 
 
+def half_line(x, closed=False):
+    """x as a float array; DomainError unless each x is finite and > 0 (>= 0 when closed)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(((x >= 0) if closed else (x > 0)) & (x < np.inf)):
+        raise DomainError(f"x must be finite and {'>=' if closed else '>'} 0")
+    return x
+
+
+def as_float(v):
+    """v as a Python float when it is 0-d, as a float64 array otherwise: what every public read returns."""
+    v = np.asarray(v, dtype=float)
+    return float(v) if v.ndim == 0 else v
+
+
 def seed_value(u: SeedSolution, x):
     """u(x) for finite x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0) & (x < np.inf)):
-        raise DomainError("seed solutions are defined on finite x >= 0")
+    x = half_line(x, closed=True)
     v0, _ = u.scaled_first_two(x)
-    val = v0 * np.exp(-x * x / 2)
-    return float(val) if val.ndim == 0 else val
+    return as_float(v0 * np.exp(-x * x / 2))
 
 
 def seed_derivs(u: SeedSolution, x, max_order: int):
     """[u(x), u'(x), ..., u^{(max_order)}(x)] at a point (or array) x > 0, finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & (x < np.inf)):
-        raise DomainError("seed derivatives require finite x > 0")
-    table = u.scaled_derivatives(x, max_order)
-    return table * np.exp(-x * x / 2)
+    x = half_line(x)
+    return u.scaled_derivatives(x, max_order) * np.exp(-x * x / 2)

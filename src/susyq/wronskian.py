@@ -38,7 +38,8 @@ module's own functions always take longdouble.  No seeds is an empty stack,
 whose W is 1: sign 1, log 0, (ln W)'' = 0.
 
 det_orders takes any increasing orders, whose determinants are the
-derivatives of W(u), and reads them from the same Kummer-frame table.
+derivatives of W(u), and reads them from the same Kummer-frame table.  Every
+read of points here takes x > 0 through seeds.half_line.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularWronskianError
-from .seeds import derivative_table, kummer_frame
+from .errors import SingularWronskianError
+from .seeds import as_float, derivative_table, half_line, kummer_frame
 
 WORK_DTYPE = np.longdouble
 
@@ -163,15 +164,7 @@ class WronskianLU:
         w2 = _dot(stack[k + 1], self.last)  # W''/W: one bordered determinant ...
         if k >= 2:  # ... and, replacing two rows, -r_k y'
             w2 -= _dot(stack[k], self._solve_unit(k - 1))
-        result = np.asarray(k + w2 - w1 * w1, dtype=float)
-        return float(result) if result.ndim == 0 else result
-
-
-def _check_domain(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & (x < np.inf)):
-        raise DomainError("Wronskian evaluation requires finite x > 0")
-    return x
+        return as_float(k + w2 - w1 * w1)
 
 
 def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
@@ -203,7 +196,7 @@ def det_orders(seeds, orders, x):
     less multiples of the rows below it in orders is N_s plus multiples of the
     orders below s outside them, with the same determinant.
     """
-    x = _check_domain(x)
+    x = half_line(x)
     orders = list(orders)
     stack = scaled_stack(seeds, x, max(orders, default=0))
     if orders != list(range(len(seeds))):
@@ -218,9 +211,7 @@ def det_orders(seeds, orders, x):
         stack = rows
     sign, logd = sign_log_det_orders(stack, orders)
     k = len(seeds)
-    val = sign * np.exp(logd - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2)
-    val = np.asarray(val, dtype=float)
-    return float(val) if val.ndim == 0 else val
+    return as_float(sign * np.exp(logd - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2))
 
 
 def wronskian(seeds, x):
@@ -250,5 +241,5 @@ def log_w_second_deriv(seeds, x):
     The seed table and W's elimination run in longdouble, whatever the
     plan's probe would choose (partner.SeedTable).
     """
-    x = _check_domain(x)
+    x = half_line(x)
     return WronskianLU(scaled_stack(seeds, x, len(seeds) + 1)).log_w_second_deriv(x)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from susyq import design
 from susyq.design import (
+    RULE_INTERVAL_BOUNDARY,
     RULE_INTERVAL_MIXED,
     RULE_ODD_ABOVE_E0,
     RULE_PARITY_MISMATCH,
@@ -77,6 +78,13 @@ def test_make_plan_auto_parities():
         make_plan((0.3, 1.0))  # spans class A and class B
 
 
+def test_make_plan_of_no_energies_is_the_empty_plan():
+    assert make_plan(()) == TransformationPlan((), ())
+    assert make_plan([], []) == TransformationPlan((), ())
+    with pytest.raises(ValueError):
+        make_plan((), (EVEN,))
+
+
 def closed_form_wronskian_parity(parities) -> int:
     """Parity of W(u_1..u_k): every permutation term shares (-1)^{k(k-1)/2} prod P(u_j)."""
     k = len(parities)
@@ -112,6 +120,35 @@ def test_predict_added_first_order_is_empty():
 def test_predict_added_refuses_odd_order_above_ground_energy():
     plan = make_plan((1.7, 2.0, 2.4))  # class A index 1, k = 3
     assert predict_added(plan) == []
+
+
+def test_predict_added_predicts_nothing_off_one_interval():
+    # with either rule broken, the parity count alone would name (2, eps_2): one odd, one even seed
+    mixed = make_plan((0.3, 1.0), parities=(ODD, EVEN))  # class A and class B
+    boundary = make_plan((0.7, 1.5), parities=(ODD, EVEN))  # 3/2 is an interval end
+    for plan, rule in ((mixed, RULE_INTERVAL_MIXED), (boundary, RULE_INTERVAL_BOUNDARY)):
+        assert predict_added(plan) == []
+        report = validate(plan, SMALL_GRID)
+        assert [r for r, _ in report.violations if r == rule] == [rule]
+        assert report.predicted_added == []
+
+
+def test_validate_probes_each_candidate_through_added_state(monkeypatch):
+    # the origin probe is the public read, once per predicted candidate, on PROBE_POINTS
+    calls = []
+    read = design.added_state
+
+    def counted(p, j, x):
+        calls.append((j, np.asarray(x).tolist()))
+        return read(p, j, x)
+
+    monkeypatch.setattr(design, "added_state", counted)
+    for plan in (make_plan(DEEP_EPS), make_plan((0.6, 0.9, 1.0, 1.3)),
+                 make_plan(*DEVIANT_PLANS[0])):
+        calls.clear()
+        validate(plan, SMALL_GRID)
+        assert calls == [(j, list(design.PROBE_POINTS)) for j, _ in predict_added(plan)]
+        assert calls
 
 
 def test_predict_added_same_parity_plans_add_nothing():

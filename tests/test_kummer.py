@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyq.errors import ConvergenceError, InvalidParameterError
 from susyq.kummer import (
-    BLOCK, FOLD_ENTRIES, TERM_CAP, _slab_blocks, b_ladder, kummer_m, kummer_m_deriv,
+    BLOCK, FOLD_ENTRIES, TERM_CAP, _slab_blocks, b_ladder, kummer_m, kummer_m_deriv, ladder_steps,
 )
 from susyq.oracle import Grid
 
@@ -281,7 +281,8 @@ def test_fused_series_and_b_ladder_match_mpmath(a, monkeypatch):
     z = np.array([1e-8, 0.01, 0.7, 6.25, 30.0, 64.0, 99.8, 100.0])
     for b, top in ((0.5, 9), (1.5, 5), (0.5, 1)):
         m, zm = kummer_m(a, b + top, z, dtype=np.longdouble, zderiv=True)
-        ladder = b_ladder(np.longdouble(a), np.longdouble(b), z.astype(np.longdouble), m, zm, top)
+        steps = ladder_steps(np.longdouble(a), np.longdouble(b), top)
+        ladder = b_ladder(z.astype(np.longdouble), m, zm, steps)
         for i, zi in enumerate(z):
             zi = mpmath.mpf(zi)
             want_zm = zi * mpmath.diff(lambda t: mpmath.hyp1f1(a, b + top, t), zi)

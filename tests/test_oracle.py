@@ -136,6 +136,24 @@ def test_eigenvalues_count_validation():
         eigenvalues_low(t, 6)
 
 
+def test_tridiag_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Tridiag(diag=np.array([1.0, bad, 3.0]), off=np.zeros(2))
+        with pytest.raises(ValueError):
+            Tridiag(diag=np.arange(1.0, 200.0), off=np.where(np.arange(198) == 7, bad, 0.5))
+
+
+def test_sturm_count_rejects_a_nan_shift():
+    # -inf and +inf stay: no level lies below the one and all n below the other
+    t = Tridiag(diag=np.arange(1.0, 200.0), off=np.full(198, 0.5))
+    for shift in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            sturm_count(t, shift)
+    assert sturm_count(t, -np.inf) == 0
+    assert sturm_count(t, np.inf) == 199
+
+
 def test_sturm_count_is_monotone_and_exact_on_diagonal():
     t = Tridiag(diag=np.array([1.0, 2.0, 3.0]), off=np.zeros(2))
     counts = [sturm_count(t, s) for s in (0.5, 1.5, 2.5, 3.5)]

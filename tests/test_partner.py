@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+import susyq
 from susyq.design import make_plan, validate
 from susyq.errors import (
     DegenerateEnergyError,
@@ -298,12 +299,12 @@ def test_seed_table_potential_is_partner_v(eps):
     for x in (np.linspace(0.05, 9.9, 7), np.linspace(0.05, 13.9, 7), 2.5):
         got = SeedTable(p, x).potential()
         assert got.dtype == np.float64
-        assert got.tobytes() == partner_v(p, x).tobytes()
+        assert got.tobytes() == np.asarray(partner_v(p, x)).tobytes()  # a Python float for a scalar
         if eps == KNOWN_FAILURE:
             # partner_v is a SeedTable read; wronskian's longdouble path is independent of it
             assert p.table_dtype is WORK_DTYPE
             want = truncated_oscillator_v(x) - log_w_second_deriv(p.seeds, x)
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.asarray(want).tobytes()
 
 
 def test_every_partner_read_requires_positive_x():
@@ -314,6 +315,42 @@ def test_every_partner_read_requires_positive_x():
         for x in (0.0, np.nan, np.inf, np.array([1.0, -1.0]), np.array([1.0, np.nan])):
             with pytest.raises(DomainError):
                 read(x)
+
+
+# every exported read that takes x: (read, closed), closed when the read is defined at x = 0 too
+POINT_READS = {
+    "partner_v": (lambda x: susyq.partner_v(DEEP, x), False),
+    "transformed_eigenfunction":
+        (lambda x: susyq.transformed_eigenfunction(DEEP, BaseState("odd", 1), x), False),
+    "added_state": (lambda x: susyq.added_state(DEEP, 2, x), False),
+    "seed_value": (lambda x: susyq.seed_value(DEEP.seeds[1], x), True),
+    "seed_derivs": (lambda x: susyq.seed_derivs(DEEP.seeds[1], x, 2), False),
+    "base_state_value": (lambda x: susyq.base_state_value(BaseState("even", 1), x), True),
+    "truncated_oscillator_v": (susyq.truncated_oscillator_v, True),
+    "det_orders": (lambda x: susyq.det_orders(DEEP.seeds, [0, 1, 2, 4], x), False),
+    "wronskian": (lambda x: susyq.wronskian(DEEP.seeds, x), False),
+    "wronskian_minor": (lambda x: susyq.wronskian_minor(DEEP.seeds, 3, x), False),
+    "log_w_second_deriv": (lambda x: susyq.log_w_second_deriv(DEEP.seeds, x), False),
+}
+
+
+@pytest.mark.parametrize("name", POINT_READS)
+def test_every_exported_read_keeps_the_point_contract(name):
+    # one contract (seeds.half_line, seeds.as_float): non-finite or out-of-domain x is a
+    # DomainError, a scalar gives a Python float and an array comes back in its own shape
+    read, closed = POINT_READS[name]
+    bad = [np.nan, np.inf, -np.inf, -1.0, np.array([1.0, np.nan]), np.array([[1.0], [-1.0]])]
+    for x in bad + ([] if closed else [0.0, np.array([0.0, 1.0])]):
+        with pytest.raises(DomainError):
+            read(x)
+    lead = (3,) if name == "seed_derivs" else ()  # the orders u, u', u''
+    for x in [1.5, np.array([1.5]), np.linspace(0.5, 3.0, 6).reshape(2, 3)] + ([0.0] if closed else []):
+        got = read(x)
+        if lead or np.ndim(x):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == lead + np.shape(x)
+        else:
+            assert type(got) is float
 
 
 def test_seed_table_point_alone_equals_the_point_in_a_grid_batch():

@@ -63,7 +63,7 @@ def test_empty_wronskian_is_one():
                 assert np.all(got == want)
             else:
                 assert type(got) is float and got == want
-        assert kummer_frame((), x, 2).shape == (3, 0) + np.shape(x)
+        assert kummer_frame((), x, 2, dtype=np.float64).shape == (3, 0) + np.shape(x)
 
 
 def test_duplicate_seeds_give_numerically_zero_determinant():
