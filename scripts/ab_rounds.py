@@ -12,7 +12,11 @@ by the seed, so that the drift of the machine falls on both sides alike.
 
 It prints each side's median round time with its quartiles, the ratio of
 the medians (old / new, above 1 when the new tree is faster) and the
-rounds in which the new side was faster.  On point_queries it also says
+rounds in which the new side was faster.  After the timed rounds each side
+runs one more round under tracemalloc, untimed, whose peak traced
+allocation it prints: numpy's arrays and Python's objects allocated in that
+round beyond what the side already held, so a memory change is A/B'd as a
+speed change is.  On point_queries it also says
 whether every query's result is bitwise equal on both sides.  It exits 1
 when an operation of either side does not end as the workload expects,
 otherwise 0.
@@ -33,6 +37,7 @@ import io
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -96,12 +101,21 @@ def main(argv=None) -> int:
                 elapsed, bad = run_round(ops[side])
                 times[side].append(elapsed)
                 failed[side] += bad
+        peaks = {}
+        for side in SIDES:  # untimed: tracing slows every allocation
+            tracemalloc.start()
+            try:
+                failed[side] += run_round(ops[side])[1]
+                peaks[side] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     print(f"{args.workload}, seed {args.seed}: {args.rounds} rounds a side after one untimed round, "
           f"the order of the sides shuffled in each")
     for side, src in zip(SIDES, (args.old_src, args.new_src)):
         q1, med, q3 = 1000 * np.percentile(times[side], [25, 50, 75])
         print(f"{side} {src}: median {med:.2f} ms a round (quartiles {q1:.2f}-{q3:.2f}), "
+              f"peak traced allocation {peaks[side] / 1e6:.2f} MB in one more round, "
               f"{failed[side]} failed ops")
     old, new = (np.median(times[side]) for side in SIDES)
     won = sum(n < o for o, n in zip(times["old"], times["new"]))

@@ -139,9 +139,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
 
 
+CSV_ROWS = 1024  # rows _write_csv formats at a time: its temporaries take about 100 bytes a cell
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    path.write_bytes((",".join(header) + "\n").encode() + _format_rows(table))
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for start in range(0, len(table), CSV_ROWS):  # the text of a block of rows at a time
+            out.write(_format_rows(table[start : start + CSV_ROWS]))
 
 
 # _format_rows prints "%.11e" with numpy.  The 12 digits of |v| are round(s), s = |v| 10^(11 - e) with

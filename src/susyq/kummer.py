@@ -164,8 +164,15 @@ def _rows(a, b, z, tol, work):
             if stopped.size == stop.size:
                 return out
             live = ~stop
-            row, pos, zs = row[live], pos[live], zs[live]
-            term, total, zderiv = term[live], total[live], zderiv[live]
+            # one array at a time, each old one freed as its compacted copy is made: the block's
+            # views of them go first
+            del terms, totals, zderivs, mag, done
+            row = row[live]
+            pos = pos[live]
+            zs = zs[live]
+            term = term[live]
+            total = total[live]
+            zderiv = zderiv[live]
             zmin = zs.min(initial=np.inf)
     if pos.size:
         if not np.isfinite(total).all():  # e^z alone passes the dtype's range from z = 709 (11356)
@@ -238,12 +245,13 @@ def ladder_steps(a, b, top):
     return b + shift - 1, (b + shift - a) / (b + shift)
 
 
-def b_ladder(z, m_top, zm_top, steps):
+def b_ladder(z, m_top, zm_top, steps, ladder):
     """[M(a, b + m; z) for m = 0..top] from M(a, b + top; z) and z M'(a, b + top; z).
 
     steps is ladder_steps(a, b, top), whose factors broadcast against m_top
     and zm_top (for rows: shape (top, rows, 1) against (rows, points));
-    b + top - 1 must be positive.  Termwise,
+    b + top - 1 must be positive.  The ladder is written into ladder, of
+    shape (top + 1,) + m_top's, and returned.  Termwise,
     (B)_n / (B - 1)_n = 1 + n / (B - 1), so M(a, B - 1) = M(a, B) + z M'(a, B) / (B - 1);
     below that the contiguous relation (DLMF 13.3.2)
 
@@ -253,7 +261,6 @@ def b_ladder(z, m_top, zm_top, steps):
     """
     below, cross = steps
     top = len(below)
-    ladder = np.empty((top + 1,) + np.shape(m_top), dtype=np.result_type(m_top, zm_top))
     ladder[top] = m_top
     if top:
         ladder[top - 1] = m_top + zm_top / below[top - 1]

@@ -23,7 +23,8 @@ POTENTIAL_CAP = 1e12
 RESIDUAL_POTENTIAL_CAP = 1e6
 BRACKET_WIDTH = 1e-9
 MAX_LEVELS = 20  # the most levels eigenvalues_low certifies in one call
-# 25 times the default grid; an order-8 seed table on it is about 128 MB
+# 25 times the default grid.  There `run` of an order-8 plan peaks at 260 MB RSS, its 128 MB
+# seed table included (419 MB while W's LU copied the table)
 MAX_GRID_N = 100_000
 # pivot rows sturm_count holds at a time: 160 kB for the 40 shifts of 20 levels
 STURM_BLOCK = 512
@@ -149,9 +150,15 @@ def eigh_tridiagonal(*args, **kwargs):
 
 
 def eigenvalues_low(t: Tridiag, count: int) -> list[float]:
-    """The `count` smallest eigenvalues, each certified to within BRACKET_WIDTH / 2.
+    """The `count` smallest eigenvalues, each certified to within a half-width w/2.
 
-    Raises ConvergenceError when LAPACK fails or a value misses its certificate.
+    w/2 is BRACKET_WIDTH / 2, floored at the rounding bound eps * 2 / h^2 of
+    float64 (eps = 2.2e-16) at which the Sturm recurrence resolves t - s I,
+    with 1/h^2 = 2 |off|, the kinetic term of the grid's spacing h.  So the
+    floor grows with fine grids, not with the size of V: at x_max = 10 it is
+    below BRACKET_WIDTH / 2 up to n = 10 600 (2.8e-10 at n = 8000), and it is
+    4.4e-8 at n = 100 000.  Raises ConvergenceError when LAPACK fails or a
+    value misses its certificate.
     """
     if not 1 <= count <= MAX_LEVELS:
         raise ValueError(f"count must lie in 1..{MAX_LEVELS}")
@@ -162,8 +169,9 @@ def eigenvalues_low(t: Tridiag, count: int) -> list[float]:
                                   select_range=(0, count - 1), tol=BRACKET_WIDTH / 4)
     except LinAlgError as exc:
         raise ConvergenceError(f"LAPACK stebz failed: {exc}") from exc
-    # certificate of lam_i (0-based): <= i levels below lam_i - w/2, >= i + 1 below lam_i + w/2
-    half = 0.5 * BRACKET_WIDTH
+    # certificate of lam_i (0-based): <= i levels below lam_i - w/2, >= i + 1 below lam_i + w/2,
+    # w/2 floored at eps 2/h^2 = eps 4 |off|
+    half = max(0.5 * BRACKET_WIDTH, np.finfo(float).eps * 4 * np.abs(t.off).max(initial=0))
     lo, hi = np.split(sturm_count(t, np.concatenate([levels - half, levels + half])), 2)
     bad = np.flatnonzero((lo > np.arange(count)) | (hi <= np.arange(count)))
     if bad.size:

@@ -107,12 +107,15 @@ class BaseState:
         with H from the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}.
         """
         x = np.asarray(x, dtype=dtype)
-        hermite = [np.zeros_like(x), np.ones_like(x)]  # H_{-1}, H_0
-        for m in range(self.hermite_index + max_order):
-            hermite.append(2 * x * hermite[-1] - 2 * m * hermite[-2])
-        c = dtype(self.norm_constant)
-        rows = hermite[1 + self.hermite_index :]
-        return np.array([(-c if n % 2 else c) * row for n, row in enumerate(rows)])
+        c, first = dtype(self.norm_constant), self.hermite_index
+        column = np.empty((max_order + 1,) + x.shape, dtype=dtype)
+        below, h = np.zeros_like(x), np.ones_like(x)  # H_{m-1}, H_m from m = 0; only two are held
+        for m in range(first + max_order + 1):
+            if m >= first:
+                np.multiply(-c if (m - first) % 2 else c, h, out=column[m - first, ...])
+            if m < first + max_order:
+                below, h = h, 2 * x * h - 2 * m * below
+        return column
 
 
 def base_state_value(s: BaseState, x):
@@ -249,7 +252,7 @@ class _TablePart:
         self.p, self.x, self.dtype = p, x, dtype
         self.half_x2 = np.asarray(x, dtype=dtype) ** 2 / 2  # each seed carries e^-half_x2
         self.table = scaled_stack(p.seeds, x, max_order, dtype=dtype)
-        self.lu = WronskianLU(self.table)
+        self.lu = WronskianLU(self.table)  # W's LU in the table's orders 0..k-1, which nothing else reads
         self.sw, self.lw = self.lu.sign, self.lu.log
 
     def potential(self):

@@ -35,8 +35,9 @@ reads about 1e-14 of max_n |v_n| near x = 4.
 
 A set of seeds is evaluated together (kummer_frame): every 1F1 series of
 the set runs in one kummer_m call, every step after it is elementwise over
-the points, and a lone seed is a set of one, so it gets the same values,
-bitwise, as inside any set and any batch of points.  The whole frame, the
+the points (and runs a block of points at a time, in the table it returns),
+and a lone seed is a set of one, so it gets the same values, bitwise, as
+inside any set and any batch of points.  The whole frame, the
 series included, runs in the dtype it is asked for: longdouble for the
 plain-frame reads, and for a seed table (wronskian.scaled_stack) float64 or
 longdouble as its partner chose (partner.PartnerPotential.table_dtype).  No
@@ -64,6 +65,14 @@ import numpy as np
 from .errors import DomainError
 from .kummer import b_ladder, kummer_m, ladder_steps
 from .kummer import kummer_m_deriv  # noqa: F401 (perfbench/tracing.py patches it)
+
+
+# the most bytes of a table that a step after the series works on at once: the frame here and W's
+# elimination (wronskian.WronskianLU) step a block of points of at most this much of their table,
+# so their temporaries are of its size.  Every such step is elementwise over the points, so a block
+# changes no value.  An order-8 longdouble frame (1280 bytes a point) takes 819 points a block, an
+# order-4 float64 one 5461, and any batch of up to 64 points (a point query) is one block to order 20
+BLOCK_BYTES = 1 << 20
 
 
 class Parity(enum.IntEnum):
@@ -148,7 +157,10 @@ def kummer_frame(seeds, x, max_order, dtype):
     b = 3/2), M(a, B) and z M'(a, B) at B = b + max_order; the rest is
     elementwise arithmetic on one (orders, branches, points) array, a few
     numpy calls per order, with the factors that depend on the seeds alone
-    taken from frame_constants.
+    taken from frame_constants.  That arithmetic runs in place on the table
+    of branch rows, a block of points at a time (in_point_blocks), so its
+    temporaries are of a block's size; when each seed has one branch, that
+    table is returned.
     """
     top = max_order
     x = np.asarray(x, dtype=dtype)
@@ -158,12 +170,30 @@ def kummer_frame(seeds, x, max_order, dtype):
     if const is None:  # no seeds: an empty frame, and no series to sum
         return np.zeros((top + 1, 0) + shape, dtype=dtype)
     m_top, zm_top = kummer_m(const.a[:, 0], const.b_top, z, dtype=dtype, zderiv=True, work=dtype)
-    table = b_ladder(z, m_top, zm_top, const.ladder)  # M(a, b + m), m = 0..top
+    # every step after the series runs in the table, a block of points at a time
+    table = np.empty((top + 1,) + m_top.shape, dtype=dtype)
+    in_point_blocks(_frame_steps, table[..., :1].nbytes, (table, z, x, m_top, zm_top), const)
+    del m_top, zm_top
+    if const.idx is None:  # one branch per seed: the rows are the seeds, with no copy
+        return table.reshape((top + 1, len(seeds)) + shape)
+    out = np.zeros((top + 1, len(seeds), x.size), dtype=dtype)
+    np.add.at(out, (slice(None), const.idx), table)  # a mixed seed's even row, then its odd row
+    return out.reshape((top + 1, len(seeds)) + shape)
+
+
+def _frame_steps(table, z, x, m_top, zm_top, const):
+    """kummer_frame's steps after the series on one block of points, written into its table.
+
+    table is (orders, branch rows, points); m_top and zm_top are the series'
+    M(a, b + top) and z M'(a, b + top) at the block's points.
+    """
+    b_ladder(z, m_top, zm_top, const.ladder, table)  # M(a, b + m), m = 0..top
+    top = len(table) - 1
     table *= const.pochhammer
     # Faa di Bruno: d^n/dx^n F(x^2) = sum_i n!/(i!(n-2i)!) (2x)^(n-2i) F^(n-i)(x^2).  By decreasing
     # m = n - i, G_m first adds its terms to the orders n in (m, 2m], then becomes order m's own
     # first term (2x)^m G_m; no G is read after its slot is overwritten
-    powers = np.empty((top + 1, x.size), dtype=dtype)
+    powers = np.empty((top + 1, x.size), dtype=table.dtype)
     powers[0], powers[1:] = 1, 2 * x
     np.cumprod(powers, axis=0, out=powers)  # (2x)^p
     for m in range(top, 0, -1):
@@ -173,13 +203,8 @@ def kummer_frame(seeds, x, max_order, dtype):
         table[m] *= powers[m]
     # odd branches are x F(x^2): d^n/dx^n [x F(x^2)] = x F^[n] + n F^[n-1], F^[n] = d^n/dx^n F(x^2)
     shifted = table[:-1] * const.odd_steps
-    table *= np.where(const.odd, x, dtype(1))
+    table *= np.where(const.odd, x, table.dtype.type(1))
     table[1:] += shifted
-    if const.idx is None:  # one branch per seed: the rows are the seeds, with no copy
-        return table.reshape((top + 1, len(seeds)) + shape)
-    out = np.zeros((top + 1, len(seeds), x.size), dtype=dtype)
-    np.add.at(out, (slice(None), const.idx), table)  # a mixed seed's even row, then its odd row
-    return out.reshape((top + 1, len(seeds)) + shape)
 
 
 class FrameConstants(NamedTuple):
@@ -227,6 +252,22 @@ def frame_constants(seeds, max_order, dtype):
                   const.odd_steps, *const.ladder):
         array.flags.writeable = False
     return const
+
+
+def in_point_blocks(step, point_bytes, arrays, *rest):
+    """step(*arrays, *rest) on blocks of points of at most BLOCK_BYTES at point_bytes a point.
+
+    The points are the last axis of every array.  step gets the arrays
+    themselves when one block holds every point (any point query), and
+    otherwise views of one block of each at a time.
+    """
+    size = max(1, BLOCK_BYTES // max(point_bytes, 1))
+    n = arrays[0].shape[-1]
+    if n <= size:
+        step(*arrays, *rest)
+        return
+    for start in range(0, n, size):
+        step(*[v[..., start : start + size] for v in arrays], *rest)
 
 
 def make_seed(epsilon: float, parity: Parity) -> SeedSolution:

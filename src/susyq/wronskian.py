@@ -24,7 +24,7 @@ replacing the last two rows by r_{k-1}, r_k.  So
 
 with no numerical differentiation and no elimination beyond W's own.
 
-WronskianLU factors M once and keeps the stack it factored; it owns every
+WronskianLU factors M once, in place, and keeps the stack; it owns every
 read that needs only W: its sign and log, solves against M, y = M^{-1} e_k
 (solved once, shared by (ln W)'' and partner.SeedTable's candidates), and
 (ln W)'' itself.  It eliminates by partial pivoting in the stack's own
@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import SingularWronskianError
-from .seeds import as_float, derivative_table, half_line, kummer_frame
+from .seeds import as_float, derivative_table, half_line, in_point_blocks, kummer_frame
 
 WORK_DTYPE = np.longdouble
 
@@ -61,57 +61,37 @@ class WronskianLU:
     """W's matrix M = [v_i of function j] (i = 0..k-1) of a stack, factored once at every point.
 
     sign and log are det M in (sign, log|det|) form; solve(b) is M^{-1} b by
-    two triangular solves against the held factors.  The stack is kept and
-    never written: log_w_second_deriv reads its orders k and k+1.
+    two triangular solves against the held factors.  The stack is kept, and
+    its orders 0..k-1 are factored in place, as scipy's overwrite_a does: a
+    caller hands over a stack that nothing else reads there (a fresh table
+    or a copy).  Orders k and k+1, which log_w_second_deriv reads, are never
+    written.
 
     The factors come from LU with partial pivoting, which works for any float
-    dtype, unlike LAPACK.  It eliminates on a copy of M in the stack's own
-    (row, column, point) layout, so every slice is contiguous over the
-    points.  Columns are equilibrated by their max modulus first (tracked in
-    the log) so pivot selection is not skewed by the x^n growth of higher
-    derivative rows.  At every point M[perm] / colscale = L U: _lu holds U on
-    and above the diagonal and L's multipliers below it, and _perm, the row
-    order, is swapped alongside the rows at each pivot.  A column on which no
-    point of the batch pivots skips the swap and its copies; that is a test
-    of the data, so a point alone still takes the same steps as in any batch.
+    dtype, unlike LAPACK.  It eliminates in the stack's own (row, column,
+    point) layout, so every slice is contiguous over the points, a block of
+    points at a time (seeds.in_point_blocks), so its temporaries are of a
+    block's size.
+    Columns are equilibrated by their max modulus first (tracked in the log)
+    so pivot selection is not skewed by the x^n growth of higher derivative
+    rows.  At every point M[perm] / colscale = L U: _lu holds U on and above
+    the diagonal and L's multipliers below it, and _perm, the row order, is
+    swapped alongside the rows at each pivot.  A column on which no point of
+    the block pivots skips the swap and its copies; that is a test of the
+    data, so a point alone still takes the same steps as in any batch.
     """
 
     def __init__(self, stack):
         self.stack = stack
         k, shape = stack.shape[1], stack.shape[2:]
         npts = math.prod(shape)  # reshape(0, 0, -1) cannot count the points
-        a = np.array(stack[:k]).reshape(k, k, npts)  # a copy: the elimination runs in place
+        a = stack[:k].reshape(k, k, npts)  # the elimination runs in place
         sign = np.ones(npts, dtype=a.dtype)
         logd = np.zeros(npts, dtype=a.dtype)
-
-        # max |a| with no np.abs copy; the initial 0 changes no column and lets k = 0 reduce
-        colscale = np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0))
-        zero_col = colscale == 0
-        sign[zero_col.any(axis=0)] = 0
-        colscale[zero_col] = 1
-        a /= colscale
-        cols = np.arange(npts)
+        colscale = np.empty((k, npts), dtype=a.dtype)
         perm = np.repeat(np.arange(k)[:, None], npts, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c in range(k):  # column by column: sum(axis=0) orders its adds by batch size
-                logd += np.log(colscale[c])
-            for c in range(k):
-                piv = np.abs(a[c:, c]).argmax(axis=0) + c
-                swap = piv != c
-                if swap.any():  # on the data, never the batch size: a point alone pivots as in any batch
-                    sign[swap] = -sign[swap]
-                    tmp, tmp_perm = a[piv, :, cols], perm[piv, cols]  # copies, as advanced indexing makes
-                    a[piv, :, cols], perm[piv, cols] = a[c].T, perm[c]
-                    a[c], perm[c] = tmp.T, tmp_perm
-                p = a[c, c]
-                sign = sign * np.sign(p)
-                logd += np.log(np.abs(p))
-                if c + 1 < k:
-                    f = a[c + 1 :, c]  # L's multipliers, written in place
-                    np.divide(f, p, out=f)
-                    f[:, p == 0] = 0
-                    a[c + 1 :, c + 1 :] -= f[:, None] * a[c, c + 1 :]
-        logd[sign == 0] = -np.inf
+        cols = np.arange(npts)
+        in_point_blocks(_eliminate, a[..., :1].nbytes, (a, colscale, perm, sign, logd), cols)
         self.sign, self.log = sign.reshape(shape), logd.reshape(shape)
         self._lu, self._colscale, self._perm, self._cols = a, colscale, perm, cols
         self._last = None
@@ -167,6 +147,41 @@ class WronskianLU:
         return as_float(k + w2 - w1 * w1)
 
 
+def _eliminate(a, colscale, perm, sign, logd, cols):
+    """WronskianLU's elimination of one block of points in place: a is (k, k, points), the rest per point.
+
+    cols is np.arange of at least the block's points.
+    """
+    k, npts = a.shape[1:]
+    cols = cols[:npts]
+    # max |a| with no np.abs copy; the initial 0 changes no column and lets k = 0 reduce
+    np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0), out=colscale)
+    zero_col = colscale == 0
+    sign[zero_col.any(axis=0)] = 0
+    colscale[zero_col] = 1
+    a /= colscale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(k):  # column by column: sum(axis=0) orders its adds by batch size
+            logd += np.log(colscale[c])
+        for c in range(k):
+            piv = np.abs(a[c:, c]).argmax(axis=0) + c
+            swap = piv != c
+            if swap.any():  # on the data, never the batch size: a point alone pivots as in any batch
+                sign[swap] = -sign[swap]
+                tmp, tmp_perm = a[piv, :, cols], perm[piv, cols]  # copies, as advanced indexing makes
+                a[piv, :, cols], perm[piv, cols] = a[c].T, perm[c]
+                a[c], perm[c] = tmp.T, tmp_perm
+            p = a[c, c]
+            sign *= np.sign(p)
+            logd += np.log(np.abs(p))
+            if c + 1 < k:
+                f = a[c + 1 :, c]  # L's multipliers, written in place
+                np.divide(f, p, out=f)
+                f[:, p == 0] = 0
+                a[c + 1 :, c + 1 :] -= f[:, None] * a[c, c + 1 :]
+    logd[sign == 0] = -np.inf
+
+
 def scaled_stack(seeds, x, max_order, dtype=WORK_DTYPE):
     """Kummer-frame table N_n = h^(n) e^{+x^2}, h = u e^{-x^2/2}, n = 0..max_order.
 
@@ -182,7 +197,7 @@ def sign_log_det_orders(stack, orders):
         raise ValueError("need as many derivative orders as functions")
     if list(orders) != sorted(set(orders)):
         raise ValueError("derivative orders must be strictly increasing")
-    lu = WronskianLU(stack[list(orders)])  # the selected rows are the orders 0..k-1 of their own stack
+    lu = WronskianLU(stack[list(orders)])  # a copy, whose rows are the orders 0..k-1 of their own stack
     return lu.sign, lu.log
 
 

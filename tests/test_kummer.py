@@ -282,7 +282,8 @@ def test_fused_series_and_b_ladder_match_mpmath(a, monkeypatch):
     for b, top in ((0.5, 9), (1.5, 5), (0.5, 1)):
         m, zm = kummer_m(a, b + top, z, dtype=np.longdouble, zderiv=True)
         steps = ladder_steps(np.longdouble(a), np.longdouble(b), top)
-        ladder = b_ladder(z.astype(np.longdouble), m, zm, steps)
+        ladder = np.empty((top + 1,) + m.shape, dtype=m.dtype)
+        b_ladder(z.astype(np.longdouble), m, zm, steps, ladder)
         for i, zi in enumerate(z):
             zi = mpmath.mpf(zi)
             want_zm = zi * mpmath.diff(lambda t: mpmath.hyp1f1(a, b + top, t), zi)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from unittest import mock
 
@@ -263,6 +264,31 @@ def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path
     config = tmp_path / "base.cfg"
     config.write_text(f"order = 0\nepsilons =\ngrid_n = 500\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["spectrum", str(config)]) == EXIT_NUMERICAL
+
+
+def test_base_problem_passes_its_certificate_on_the_finest_grid(tmp_path):
+    # float64 resolves T - sI to about eps 2/h^2 = 4.4e-8 at n = 100 000, far above BRACKET_WIDTH / 2,
+    # so the certificate's half-width floors there; the levels stay the oscillator's to 1e-3
+    config = tmp_path / "base.cfg"
+    config.write_text(f"order = 0\nepsilons =\ngrid_n = {MAX_GRID_N}\noutput_dir = {tmp_path}\n")
+    assert main(["spectrum", str(config)]) == 0
+    levels = json.loads((tmp_path / "report.json").read_text())["oracle"]["eigenvalues"]
+    assert len(levels) == 8
+    assert np.abs(np.array(levels) - (2 * np.arange(8) + 1.5)).max() <= 1e-3
+
+
+@pytest.mark.parametrize("n", [4000, 8000, 40_000, MAX_GRID_N])
+def test_certificate_half_width_is_the_bracket_or_the_grid_rounding_bound(monkeypatch, n):
+    # the shifts are the levels -+ w/2: BRACKET_WIDTH / 2 on the benchmark's grids (x_max = 10,
+    # n <= 8000), eps 2/h^2 on finer ones, whatever the potential
+    shifts, count = [], oracle.sturm_count
+    monkeypatch.setattr(oracle, "sturm_count", lambda t, s: shifts.append(s) or count(t, s))
+    g = Grid(n=n)
+    levels = np.array(eigenvalues_low(discretize(truncated_oscillator_v(g.points), g), 3))
+    half = max(BRACKET_WIDTH / 2, np.finfo(float).eps * 2 / g.h**2)
+    assert (half == BRACKET_WIDTH / 2) == (n <= 8000)
+    want = np.concatenate([levels - half, levels + half])
+    np.testing.assert_allclose(shifts[0], want, rtol=0, atol=1e-15)
 
 
 def test_truncated_oscillator_spectrum():

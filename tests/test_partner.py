@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from susyq.partner import (
     transformed_eigenfunction,
     truncated_oscillator_v,
 )
-from susyq.seeds import Parity, kummer_frame, make_seed, seed_value
-from susyq.wronskian import WORK_DTYPE, WronskianLU, log_w_second_deriv, sign_log_det_orders
+from susyq import seeds
+from susyq.seeds import BLOCK_BYTES, Parity, kummer_frame, make_seed, seed_value
+from susyq.wronskian import (
+    WORK_DTYPE,
+    WronskianLU,
+    log_w_second_deriv,
+    scaled_stack,
+    sign_log_det_orders,
+)
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -227,7 +235,8 @@ KNOWN_FAILURE = (0.616, 0.805, 0.92, 1.124, 1.215, 1.233, 1.4, 1.405)
 
 @pytest.mark.parametrize("eps", [(-5.5, -4.5, -3.5, -2.5), KNOWN_FAILURE])
 def test_seed_table_reads_are_pure(eps):
-    # the determinant kernel overwrites its input, so no determinant may reach the held table
+    # W's LU factors the table's orders 0..k-1 in place; no read may write the table, its
+    # factors among them, and the orders k and k+1 stay the seeds' frame
     p = make_plan(eps).partner()
     k = len(eps)
     x = Grid(n=400).closed_points
@@ -238,6 +247,7 @@ def test_seed_table_reads_are_pure(eps):
     seeds = np.stack([kummer_frame((u,), x, k + 1, dtype=part.dtype)[:, 0]
                       for u in p.seeds], axis=1)
     held = [a.copy() for a in (part.sw, part.lw)]
+    held_bytes = [a.tobytes() for a in (part.table, part.lu._colscale, part.lu._perm)]
     # (argument, read, the public function, the highest order that function builds)
     reads = [(BaseState(b, n), SeedTable.state, transformed_eigenfunction, k)
              for b in ("odd", "even") for n in range(4)]
@@ -250,10 +260,73 @@ def test_seed_table_reads_are_pure(eps):
         # a public function reads a table of the orders it needs, as the same read of such a table
         assert read(SeedTable(p, x, top), arg).tobytes() == fresh(p, arg, x).tobytes()
     assert first[-1].tobytes() == partner_v(p, x).tobytes()
-    # longdouble padding bytes are undefined, so the held arrays compare by value
-    np.testing.assert_array_equal(part.table, seeds)
+    assert [a.tobytes() for a in (part.table, part.lu._colscale, part.lu._perm)] == held_bytes
+    # longdouble padding bytes are undefined, so the fresh frame and the held arrays compare by value
+    np.testing.assert_array_equal(part.table[k:], seeds[k:])
     for a, b in zip(held, (part.sw, part.lw)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_seed_table_holds_its_table_and_a_block_of_temporaries():
+    # the known failure on Grid(): 4002 points in longdouble at k = 8, a 5.1 MB table.  W's LU
+    # factors the table in place, and the frame and the elimination hold their k^2 x points
+    # temporaries to a block of points, so building it and reading Vt, four states and every
+    # candidate peaks 3.2 MB above the table, within 3.5 MiB: the LU's column scales, row order
+    # and y = M^-1 e_k, and a read's k x points arrays (a state's column or e_{k-1}, the solve and
+    # its products) are whole.  When the LU copied the table and the frame's temporaries were
+    # whole, the peak was 14.1 MB
+    p = make_plan(KNOWN_FAILURE).partner()
+    x = Grid().closed_points
+    assert p.table_dtype is WORK_DTYPE  # the probe's tables come before the count
+    tracemalloc.start()
+    try:
+        table = SeedTable(p, x)
+        table.potential()
+        for n in range(4):
+            table.state(BaseState("odd", n))
+        for j in range(1, len(KNOWN_FAILURE) + 1):
+            table.added(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (_, part), = table.parts
+    assert part.table.nbytes > 5e6
+    assert peak < part.table.nbytes + 3.5 * 2**20
+
+
+def _same_bits(x, y):
+    """Equal values and signs: the same bits, without reading a longdouble's padding bytes."""
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 1 << 14])
+@pytest.mark.parametrize("eps", [KNOWN_FAILURE, (0.6, 0.8, 1.1, 1.4)])
+def test_a_grid_table_is_bitwise_the_same_points_in_other_blocks(eps, block_bytes, monkeypatch):
+    # a longdouble and a float64 plan on 4002 points, whose frame and LU take several blocks of
+    # points (the float64 frame only with the small blocks): W's sign and log, Vt, states and
+    # y = M^-1 e_k equal those of the same points built in slices of other sizes, and built alone,
+    # among them the points on either side of a block's end
+    monkeypatch.setattr(seeds, "BLOCK_BYTES", block_bytes)
+    p = make_plan(eps).partner()
+    x = Grid().closed_points
+    whole = SeedTable(p, x)
+    (_, part), = whole.parts
+    block = block_bytes // part.table[..., :1].nbytes  # the frame's points a block
+    assert block < x.size or block_bytes == BLOCK_BYTES and eps != KNOWN_FAILURE
+    reads = [lambda t: t.sw, lambda t: t.parts[0][1].lw, lambda t: t.potential(),
+             lambda t: t.state(BaseState("odd", 1)), lambda t: t.state(BaseState("even", 2)),
+             lambda t: t.parts[0][1].lu.last]
+    want = [read(whole) for read in reads]
+    for size in (333, 700, 1500):
+        for start in range(0, x.size, size):
+            piece = SeedTable(p, x[start : start + size])
+            for read, w in zip(reads, want):
+                assert _same_bits(read(piece), w[..., start : start + size])
+    ends = {i for end in range(block, x.size, block) for i in (end - 1, end)}
+    for i in sorted(ends | {0, x.size - 1} | set(range(5, x.size, 401))):
+        alone = SeedTable(p, x[i : i + 1])
+        for read, w in zip(reads, want):
+            assert _same_bits(read(alone), w[..., i : i + 1])
 
 
 def test_reads_where_w_vanishes_name_those_points_alone():
@@ -397,6 +470,8 @@ def test_seed_table_reads_match_the_determinant_formulas(eps):
     k = len(eps)
     x = Grid().closed_points
     (_, t), = SeedTable(make_plan(eps).partner(), x[x <= (4.0 if eps == KNOWN_FAILURE else 5.0)]).parts
+    # the frame the table held before W's LU overwrote its orders 0..k-1: the same points and dtype
+    stack = scaled_stack(t.p.seeds, t.x, k + 1, dtype=t.dtype)
     # the probe takes float64 for orders 1-5 (and this order-7 plan) and keeps longdouble for
     # the order-6 plan and the known failure
     assert t.dtype is (WORK_DTYPE if k in (6, 8) else np.float64)
@@ -405,13 +480,13 @@ def test_seed_table_reads_match_the_determinant_formulas(eps):
         if s.energy in eps:
             continue
         column = s.kummer_frame(t.x, k, dtype=WORK_DTYPE)[:, None]
-        s_num, l_num = sign_log_det_orders(np.concatenate([t.table[: k + 1], column], axis=1),
+        s_num, l_num = sign_log_det_orders(np.concatenate([stack[: k + 1], column], axis=1),
                                            list(range(k + 1)))
         scale = math.fsum(math.log(abs(s.energy - e)) for e in eps) / 2 + k * math.log(2) / 2
         pairs.append((t.state(s), s_num * t.sw * np.exp(l_num - t.lw - t.half_x2 - scale)))
     for j in range(1, k + 1):
         minor = [i for i in range(k) if i != j - 1]
-        s_num, l_num = sign_log_det_orders(t.table[:, minor], list(range(k - 1)))
+        s_num, l_num = sign_log_det_orders(stack[:, minor], list(range(k - 1)))
         pairs.append((t.added(j), s_num * t.sw * np.exp(l_num - t.lw + t.half_x2)))
     for got, want in pairs:
         want = np.asarray(want, dtype=float)
