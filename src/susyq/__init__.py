@@ -32,7 +32,7 @@ from .partner import (
     truncated_oscillator_v,
 )
 from .seeds import Parity, SeedSolution, make_seed, make_seed_general, seed_derivs, seed_value
-from .wronskian import det_orders, log_w_second_deriv, wronskian, wronskian_minor
+from .wronskian import log_w_second_deriv, wronskian, wronskian_minor
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "base_state_value",
     "boundary_check",
     "classify_interval",
-    "det_orders",
     "discretize",
     "eigenvalues_low",
     "kummer_m",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,17 +69,25 @@ def _parse_int(text: str, line: int) -> int:
     return int(value)
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config(text) -> PlanConfig:
-    """Parse `key = value` lines into a PlanConfig; unknown keys are errors."""
+    """Parse `key = value` lines into a PlanConfig; unknown keys are errors.
+
+    A '#' at the start of a line or after whitespace starts a comment that
+    runs to the end of the line; a '#' inside a value (runs#3) is part of it.
+    Bytes are UTF-8, with or without a byte-order mark.
+    """
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            text = text.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}") from None
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw, count=1).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw!r}", line=lineno)

@@ -132,21 +132,17 @@ class SeedSolution:
 
     def scaled_first_two(self, x):
         """(v0, v1) = (u e^{x^2/2}, u' e^{x^2/2}) at x (scalar or array), x >= 0."""
-        v0, v1 = derivatives((self,), x, 1)[:, 0]
+        v0, v1 = self.scaled_derivatives(x, 1)
         return v0, v1
 
     def scaled_derivatives(self, x, max_order):
-        return derivatives((self,), x, max_order)[:, 0]
+        """[v_0 .. v_max_order], shape (max_order + 1,) + x.shape, in float64.
 
-
-def derivatives(seeds, x, max_order):
-    """[v_0 .. v_max_order] of every seed, shape (max_order + 1, len(seeds)) + x.shape, in float64.
-
-    The Kummer frame in longdouble, mapped to the plain frame (derivative_table)
-    and rounded once.
-    """
-    frame = kummer_frame(seeds, x, max_order, dtype=np.longdouble)
-    return derivative_table(frame, x).astype(np.float64)
+        The seed's Kummer frame in longdouble, a set of one, mapped to the
+        plain frame (derivative_table) and rounded once.
+        """
+        frame = kummer_frame((self,), x, max_order, dtype=np.longdouble)
+        return derivative_table(frame, x)[:, 0].astype(np.float64)
 
 
 def kummer_frame(seeds, x, max_order, dtype):

@@ -35,11 +35,9 @@ is given: float64 for the seed tables of a plan whose probe showed that
 float64 matches longdouble (partner.PartnerPotential.table_dtype),
 longdouble (WORK_DTYPE) otherwise; partner.SeedTable decides it, and this
 module's own functions always take longdouble.  No seeds is an empty stack,
-whose W is 1: sign 1, log 0, (ln W)'' = 0.
-
-det_orders takes any increasing orders, whose determinants are the
-derivatives of W(u), and reads them from the same Kummer-frame table.  Every
-read of points here takes x > 0 through seeds.half_line.
+whose W is 1: sign 1, log 0, (ln W)'' = 0.  Every read of points here, W
+itself included, is one WronskianLU of a Kummer-frame table, and takes x > 0
+through seeds.half_line.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import SingularWronskianError
-from .seeds import as_float, derivative_table, half_line, in_point_blocks, kummer_frame
+from .seeds import as_float, half_line, in_point_blocks, kummer_frame
 
 WORK_DTYPE = np.longdouble
 
@@ -201,37 +199,16 @@ def sign_log_det_orders(stack, orders):
     return lu.sign, lu.log
 
 
-def det_orders(seeds, orders, x):
-    """Determinant with rows u_j^{(orders[i])}(x), Gaussian factor included.
+def wronskian(seeds, x):
+    """W(u_1, ..., u_k)(x), Gaussian factor included; the empty Wronskian is 1.
 
-    Taken over the Kummer frame N of one scaled_stack, which keeps it well
-    conditioned at large x: W itself (orders 0..k-1) has the same
-    determinant there.  Other orders are rows of the plain frame v = L N,
-    L = derivative_table of the identity, unit lower triangular; each row L_s
-    less multiples of the rows below it in orders is N_s plus multiples of the
-    orders below s outside them, with the same determinant.
+    One WronskianLU of the Kummer-frame table over orders 0..k-1, whose
+    determinant is e^{+k x^2/2} W(u).
     """
     x = half_line(x)
-    orders = list(orders)
-    stack = scaled_stack(seeds, x, max(orders, default=0))
-    if orders != list(range(len(seeds))):
-        lmap = derivative_table(np.multiply.outer(np.eye(len(stack)), np.ones_like(x)), x)
-        rows, reduced = stack.copy(), {}
-        for s in orders:
-            row = lmap[s]
-            for t, below in reduced.items():
-                row = row - row[t] * below
-            reduced[s] = row
-            rows[s] = _dot(row, stack)
-        stack = rows
-    sign, logd = sign_log_det_orders(stack, orders)
     k = len(seeds)
-    return as_float(sign * np.exp(logd - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2))
-
-
-def wronskian(seeds, x):
-    """W(u_1, ..., u_k)(x); the empty Wronskian is 1."""
-    return det_orders(seeds, range(len(seeds)), x)
+    lu = WronskianLU(scaled_stack(seeds, x, max(k - 1, 0)))
+    return as_float(lu.sign * np.exp(lu.log - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2))
 
 
 def wronskian_minor(seeds, j: int, x):

@@ -37,6 +37,9 @@ def test_parse_minimal_config():
     assert cfg.parities is None
     assert cfg.x_max == 10.0
     assert cfg.grid_n == 4000
+    # a '#' at a line's start or after whitespace starts a comment; one inside a value is part of it
+    cfg = parse_config("order = 1\t# k\n  # note\nepsilons = 1.0 #e\noutput_dir = runs#3 # where\n")
+    assert (cfg.order, cfg.epsilons, cfg.output_dir) == (1, [1.0], Path("runs#3"))
 
 
 def test_parse_full_config_with_fractions():
@@ -56,6 +59,9 @@ def test_parse_full_config_with_fractions():
     assert cfg.x_max == 8.0
     assert cfg.levels_to_report == 6
     assert cfg.output_dir == Path("out/deep")
+    # the same keys saved with a UTF-8 byte-order mark before the first one, and CRLF line ends
+    lines = [line.strip() for line in text.splitlines() if "=" in line]
+    assert parse_config(b"\xef\xbb\xbf" + "\r\n".join(lines).encode()) == cfg
 
 
 def test_parse_errors_carry_line_numbers():
@@ -282,7 +288,8 @@ def test_run_evaluates_each_seed_once_per_stage_on_the_closed_grid(tmp_path, mon
         evaluated.extend((u, np.size(x), np.dtype(dtype)) for u in batch_seeds)
         return batch(batch_seeds, x, max_order, dtype=dtype)
 
-    # tables reach the seeds through wronskian.scaled_stack, single seeds through seeds.derivatives
+    # tables reach the seeds through wronskian.scaled_stack, single seeds through
+    # SeedSolution.scaled_derivatives
     monkeypatch.setattr(seeds, "kummer_frame", counted)
     monkeypatch.setattr(wronskian, "kummer_frame", counted)
     cfg = small_cfg(tmp_path, order=4, epsilons=[0.6, 0.9, 1.0, 1.3], x_max=10.0)

@@ -400,7 +400,6 @@ POINT_READS = {
     "seed_derivs": (lambda x: susyq.seed_derivs(DEEP.seeds[1], x, 2), False),
     "base_state_value": (lambda x: susyq.base_state_value(BaseState("even", 1), x), True),
     "truncated_oscillator_v": (susyq.truncated_oscillator_v, True),
-    "det_orders": (lambda x: susyq.det_orders(DEEP.seeds, [0, 1, 2, 4], x), False),
     "wronskian": (lambda x: susyq.wronskian(DEEP.seeds, x), False),
     "wronskian_minor": (lambda x: susyq.wronskian_minor(DEEP.seeds, 3, x), False),
     "log_w_second_deriv": (lambda x: susyq.log_w_second_deriv(DEEP.seeds, x), False),

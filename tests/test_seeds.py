@@ -9,7 +9,6 @@ from susyq.oracle import Grid
 from susyq.seeds import (
     Parity,
     derivative_table,
-    derivatives,
     frame_constants,
     kummer_frame,
     make_seed,
@@ -150,8 +149,8 @@ def test_seed_point_alone_equals_the_point_in_a_grid_batch(seed):
     for i in list(range(0, x.size, 211)) + [x.size - 1]:
         assert seed.scaled_derivatives(x[i : i + 1], 5).tobytes() == batch[:, i : i + 1].tobytes()
     # a lone seed is the same evaluation as a seed inside a batch of seeds
-    both = derivatives((make_seed(1.1, Parity.ODD), seed), x, 5)
-    assert both[:, 1].tobytes() == batch.tobytes()
+    both = kummer_frame((make_seed(1.1, Parity.ODD), seed), x, 5, dtype=np.longdouble)
+    assert derivative_table(both, x)[:, 1].astype(np.float64).tobytes() == batch.tobytes()
     # and so is every point of a Kummer-frame table, in longdouble as the Wronskians use it
     frame = kummer_frame((make_seed(1.1, Parity.ODD), seed), x, 9, dtype=np.longdouble)
     for i in list(range(0, x.size, 211)) + [x.size - 1]:
@@ -201,13 +200,13 @@ def test_kummer_frame_constants_come_from_a_read_only_cache_and_change_no_bit():
                                   make_seed_general(0.9, 0.7, -1.3)])
 def test_kummer_frame_matches_mpmath(seed, monkeypatch):
     # N_n = h^(n) e^{+x^2} with h = u e^{-x^2/2}, differentiated by mpmath at 40 digits, and the
-    # plain frame v_n = u^(n) e^{+x^2/2} that derivatives maps it to
+    # plain frame v_n = u^(n) e^{+x^2/2} that scaled_derivatives maps it to
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(mpmath.mp, "dps", 40)
     top = 7
     x = np.array([0.05, 0.9, 3.0, 6.5, 9.99])
     got = kummer_frame((seed,), x, top, dtype=np.longdouble)[:, 0]
-    plain = derivatives((seed,), x, top)[:, 0]
+    plain = seed.scaled_derivatives(x, top)
 
     def h(t):
         m_e = mpmath.hyp1f1(mpmath.mpf(seed.a_even), 0.5, t * t)

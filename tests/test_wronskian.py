@@ -6,7 +6,7 @@ from susyq.errors import DomainError, SingularWronskianError
 from susyq.seeds import Parity, kummer_frame, make_seed
 from susyq.wronskian import (
     WronskianLU,
-    det_orders,
+    _dot,
     log_w_second_deriv,
     scaled_stack,
     sign_log_det_orders,
@@ -55,8 +55,7 @@ def test_empty_wronskian_is_one():
     # no seeds is an empty table: W is 1 and (ln W)'' is 0, a float for a scalar x and an array
     # of x's shape otherwise
     for x in (1.0, [1.0], xs, xs.reshape(5, 1)):
-        reads = [(det_orders([], [], x), 1.0), (wronskian([], x), 1.0),
-                 (log_w_second_deriv([], x), 0.0)]
+        reads = [(wronskian([], x), 1.0), (log_w_second_deriv([], x), 0.0)]
         for got, want in reads:
             if np.ndim(x):
                 assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
@@ -118,34 +117,40 @@ def test_log_w_second_deriv_matches_finite_difference():
         assert log_w_second_deriv(seeds, x) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
+def _log_derivatives_of_w(seeds, x):
+    """W'/W = r_k y and W''/W = r_{k+1} y - r_k y' of W's LU on the Kummer frame, y' = M^{-1} e_{k-1}.
+
+    W here is that of h = u e^{-x^2/2}, W(u) = e^{+k x^2/2} W(h).
+    """
+    k = len(seeds)
+    stack = scaled_stack(seeds, np.asarray(x, dtype=float), k + 1)
+    lu = WronskianLU(stack)  # factors orders 0..k-1 in place; rows k and k+1 are never written
+    unit = np.zeros(stack.shape[1:], dtype=stack.dtype)
+    unit[k - 2] = 1
+    w1 = _dot(stack[k], lu.last)
+    return w1, _dot(stack[k + 1], lu.last) - _dot(stack[k], lu.solve(unit))
+
+
 def test_deep_class_a_first_log_derivative_decays_at_origin():
     # class-A Wronskians are even in x, so (ln W)' -> 0 as x -> 0+
-    k = len(DEEP_SEEDS)
-    vals = []
-    for x in (1e-2, 1e-3, 1e-4):
-        w = wronskian(DEEP_SEEDS, np.asarray(x))
-        wp = det_orders(DEEP_SEEDS, list(range(k - 1)) + [k], np.asarray(x))
-        vals.append(abs(wp / w))
+    vals = [abs(_log_derivatives_of_w(DEEP_SEEDS, x)[0]) for x in (1e-2, 1e-3, 1e-4)]
     assert vals[2] < vals[1] < vals[0]
     assert vals[2] < 1e-3
 
 
-def test_det_orders_shifted_orders_are_the_derivatives_of_w():
-    # W = c e^{2x^2} p(x) with p = deep_poly: W'/W = 4x + p'/p and W''/W = (W'/W)' + (W'/W)^2.
-    # Read from the plain frame's rows, these were off by up to 1.4e-13 on this grid
+def test_wronskian_lu_reads_the_derivatives_of_w():
+    # W(h) = c p(x) with p = deep_poly, W(u) = e^{2x^2} W(h): r_k y = p'/p and
+    # r_{k+1} y - r_k y' = p''/p, each read alone
     x = np.linspace(0.1, 9.9, 99).reshape(9, 11)
     p, dp = deep_poly(x), 128 * x**7 - 384 * x**5 + 480 * x**3
     ddp = 896 * x**6 - 1920 * x**4 + 1440 * x**2
-    w = wronskian(DEEP_SEEDS, x)
-    w1 = 4 * x + dp / p
-    w2 = 4 + (ddp * p - dp * dp) / (p * p) + w1 * w1
-    np.testing.assert_allclose(det_orders(DEEP_SEEDS, [0, 1, 2, 4], x) / w, w1, rtol=1e-14)
-    second = det_orders(DEEP_SEEDS, [0, 1, 2, 5], x) + det_orders(DEEP_SEEDS, [0, 1, 3, 4], x)
-    np.testing.assert_allclose(second / w, w2, rtol=1e-14)
+    w1, w2 = _log_derivatives_of_w(DEEP_SEEDS, x)
+    np.testing.assert_allclose(w1.astype(float), dp / p, rtol=1e-14)
+    np.testing.assert_allclose(w2.astype(float), ddp / p, rtol=1e-14)
     # a point alone equals the point in the batch
-    batch = det_orders(DEEP_SEEDS, [0, 1, 3, 4], x)
     for i in [(0, 0), (4, 7), (8, 10)]:
-        assert det_orders(DEEP_SEEDS, [0, 1, 3, 4], x[i]) == batch[i]
+        alone = _log_derivatives_of_w(DEEP_SEEDS, x[i])
+        assert alone[0] == w1[i] and alone[1] == w2[i]
 
 
 def test_det_orders_validates_order_list():
