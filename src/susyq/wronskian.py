@@ -96,10 +96,15 @@ class WronskianLU:
 
     def solve(self, b):
         """M^{-1} b at every point, in the factors' dtype; b has shape (k,) + the points' shape."""
+        k, npts = self._lu.shape[1:]
+        b = np.asarray(b, dtype=self._lu.dtype)
+        # (P b)[i] = b[perm[i]], a copy
+        return self._substitute(b.reshape(k, npts)[self._perm, self._cols]).reshape(b.shape)
+
+    def _substitute(self, y):
+        """M^{-1} b from y = P b, shape (k, points): two triangular solves in place, then the column scales."""
         lu = self._lu
-        k, npts = lu.shape[1:]
-        b = np.asarray(b, dtype=lu.dtype)
-        y = b.reshape(k, npts)[self._perm, self._cols]  # (P b)[i] = b[perm[i]], a copy
+        k = lu.shape[1]
         # column-oriented substitutions: elementwise over the points, so no value depends on its batch
         for j in range(k - 1):
             y[j + 1 :] -= lu[j + 1 :, j] * y[j]
@@ -107,7 +112,7 @@ class WronskianLU:
             y[j] /= lu[j, j]
             y[:j] -= lu[:j, j] * y[j]
         y /= self._colscale
-        return y.reshape(b.shape)
+        return y
 
     @property
     def last(self):
@@ -117,10 +122,9 @@ class WronskianLU:
         return self._last
 
     def _solve_unit(self, j):
-        """M^{-1} e_j (1-based) at every point; e_j is exact in the factors' dtype."""
-        e = np.zeros(self.stack.shape[1:], dtype=self._lu.dtype)
-        e[j - 1 : j] = 1  # a slice, which is empty when there are no seeds
-        return self.solve(e)
+        """M^{-1} e_j (1-based) at every point; P e_j, built directly, is exact in the factors' dtype."""
+        y = (self._perm == j - 1).astype(self._lu.dtype)  # (P e_j)[i] = 1 where perm[i] = j - 1
+        return self._substitute(y).reshape(self.stack.shape[1:])
 
     def log_w_second_deriv(self, x):
         """(ln W)'' on the stack's points x, which the stack holds to order k + 1.
@@ -203,12 +207,14 @@ def wronskian(seeds, x):
     """W(u_1, ..., u_k)(x), Gaussian factor included; the empty Wronskian is 1.
 
     One WronskianLU of the Kummer-frame table over orders 0..k-1, whose
-    determinant is e^{+k x^2/2} W(u).
+    determinant is e^{+k x^2/2} W(u).  Where |W| is beyond float64's range
+    it is inf with W's sign, and no warning.
     """
     x = half_line(x)
     k = len(seeds)
     lu = WronskianLU(scaled_stack(seeds, x, max(k - 1, 0)))
-    return as_float(lu.sign * np.exp(lu.log - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2))
+    with np.errstate(over="ignore"):  # the exp, or the cast to float64, past their range
+        return as_float(lu.sign * np.exp(lu.log - k * np.asarray(x, dtype=WORK_DTYPE) ** 2 / 2))
 
 
 def wronskian_minor(seeds, j: int, x):

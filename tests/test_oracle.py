@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,7 @@ from susyq.errors import ConvergenceError, DomainError, PotentialSingularityErro
 from susyq.oracle import (
     BRACKET_WIDTH,
     MAX_GRID_N,
+    MAX_LEVELS,
     Grid,
     Tridiag,
     discretize,
@@ -255,8 +257,8 @@ def test_eigenvalues_match_reference_bisection(epsilons):
 
 
 def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path):
-    lapack = oracle.eigh_tridiagonal
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda *a, **kw: lapack(*a, **kw) + 1e-6)
+    lapack = oracle.stebz
+    monkeypatch.setattr(oracle, "stebz", lambda *a: lapack(*a) + 1e-6)
     g = Grid(n=500)
     t = discretize(truncated_oscillator_v(g.points), g)
     with pytest.raises(ConvergenceError):
@@ -264,6 +266,65 @@ def test_uncertified_lapack_levels_are_a_numerical_failure(monkeypatch, tmp_path
     config = tmp_path / "base.cfg"
     config.write_text(f"order = 0\nepsilons =\ngrid_n = 500\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["spectrum", str(config)]) == EXIT_NUMERICAL
+
+
+def test_stebz_is_scipys_eigh_tridiagonal_bit_for_bit():
+    # the oracle calls dstebz of scipy's LAPACK extension with the arguments eigh_tridiagonal
+    # passes: random tridiagonals, the 1 x 1 case (d[0], no LAPACK), and the benchmark's grids
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(32)
+    cases = [(np.array([2.5]), np.array([]), 1, 1e-9)]
+    for _ in range(400):
+        n = int(rng.integers(1, 401))
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+        cases.append((d, e, int(rng.integers(1, min(n, MAX_LEVELS) + 1)), 10.0 ** rng.uniform(-12, -6)))
+    partner = make_plan((-5.5, -4.5, -3.5, -2.5)).partner()
+    for n in (4000, 8000):
+        g = Grid(n=n)
+        for vals in (truncated_oscillator_v(g.points), partner_v(partner, g.points)):
+            t = discretize(vals, g)
+            cases.append((t.diag, t.off, MAX_LEVELS, BRACKET_WIDTH / 4))
+    for d, e, count, tol in cases:
+        got = oracle.stebz(d, e, count, tol)
+        want = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1), tol=tol)
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_stebz_maps_lapack_failures(monkeypatch):
+    # info < 0 (an argument LAPACK rejects: iu = 0 below il = 1) is a ValueError, info > 0 a
+    # ConvergenceError, as they were through scipy.linalg
+    g = Grid(n=500)
+    t = discretize(truncated_oscillator_v(g.points), g)
+    with pytest.raises(ValueError, match="argument 7 of LAPACK dstebz"):
+        oracle.stebz(t.diag, t.off, 0, BRACKET_WIDTH / 4)
+    failed = mock.Mock(dstebz=lambda *a: (0, np.zeros(g.n), None, None, 2))
+    monkeypatch.setattr(oracle, "_flapack", lambda: failed)
+    with pytest.raises(ConvergenceError, match="info = 2"):
+        eigenvalues_low(t, 3)
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    # one code path: no file, no levels, and the error names the path and scipy's version
+    import importlib.machinery
+
+    import scipy
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    version = re.escape(scipy.__version__)
+    want = rf"scipy {version} has no LAPACK extension .*_flapack with any of the suffixes \.missing\.so"
+    with pytest.raises(ImportError, match=want):
+        oracle._flapack.__wrapped__()
+
+
+def test_lapack_extension_is_found_under_any_of_its_suffixes(monkeypatch):
+    # the file is found when its suffix is not the first one the interpreter lists (.abi3.so, .so)
+    import importlib.machinery
+
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so", *suffixes])
+    assert callable(oracle._flapack.__wrapped__().dstebz)
 
 
 def test_base_problem_passes_its_certificate_on_the_finest_grid(tmp_path):

@@ -354,14 +354,16 @@ def test_potential_and_candidates_share_one_solve(monkeypatch):
     # once, whichever is read first, so Vt and the four candidates make two solves in either order
     x = Grid(n=400).closed_points
     tables = SeedTable(DEEP, x), SeedTable(DEEP, x)  # the dtype probe's solves come before the count
-    solves, solve = [], WronskianLU.solve
+    solves, solve, solve_unit = [], WronskianLU.solve, WronskianLU._solve_unit
     monkeypatch.setattr(WronskianLU, "solve", lambda self, b: solves.append(b) or solve(self, b))
+    monkeypatch.setattr(WronskianLU, "_solve_unit",
+                        lambda self, j: solves.append(j) or solve_unit(self, j))
     reads = [lambda t: t.potential()] + [lambda t, j=j: t.added(j) for j in range(1, 5)]
     for table, order in zip(tables, (reads, reads[::-1])):
         solves.clear()
         for read in order:
             read(table)
-        assert [int(np.flatnonzero(b[:, 0])[0]) for b in solves] == [3, 2]  # e_k, then e_{k-1}
+        assert solves == [4, 3]  # unit solves, 1-based: e_k, then e_{k-1}
 
 
 @pytest.mark.parametrize("eps", [(-5.5, -4.5, -3.5, -2.5), KNOWN_FAILURE])

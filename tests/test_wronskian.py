@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,25 @@ def test_singular_wronskian_raises():
     u = make_seed(0.7, EVEN)
     with pytest.raises(SingularWronskianError):
         log_w_second_deriv([u, u], 1.0)
+
+
+def test_wronskian_beyond_float64_is_inf_with_its_sign_and_no_warning():
+    # an order-8 seed set whose |W| passes float64's range at x = 13.7 while its log is finite:
+    # W is inf with W's sign, no overflow warning, and the points in range keep their bits
+    eps = (-4.861, -4.271, -3.77, -3.423, -3.197, -2.574, -2.145, 0.702)
+    parities = (ODD, EVEN, ODD, ODD, ODD, ODD, ODD, EVEN)
+    seeds = [make_seed(e, p) for e, p in zip(eps, parities)]
+    inside, x = np.array([1.0, 5.0, 9.0]), np.array([1.0, 5.0, 9.0, 13.7])
+    lu = WronskianLU(scaled_stack(seeds, x, len(seeds) - 1))
+    assert np.isfinite(lu.log[-1]) and lu.log[-1] - 8 * 13.7**2 / 2 > np.log(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, alone = wronskian(seeds, x), wronskian(seeds, 13.7)
+        want = wronskian(seeds, inside)
+    assert alone == w[-1] == np.copysign(np.inf, lu.sign[-1])
+    assert np.isfinite(want).all() and w[:-1].tobytes() == want.tobytes()
+    in_range = lu.sign[:-1] * np.exp(lu.log[:-1] - 8 * inside.astype(np.longdouble) ** 2 / 2)
+    assert want.tobytes() == in_range.astype(float).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
